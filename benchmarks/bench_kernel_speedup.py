@@ -11,6 +11,10 @@ properties CI cares about:
 - the vectorized kernels actually pay for themselves: >= 2x over the
   oracles on a real organized scene.
 
+The ``entropy`` row does the same for the fused arithmetic-coding kernels
+(:mod:`repro.entropy.arithmetic`) on every adaptive-arith stream of the CI
+frame: identical bytes and symbols, and >= 1.5x on encode + decode.
+
 Timing loops are interleaved (fast/oracle alternating, min-of-N) so
 CPU-frequency drift cancels instead of biasing one side.
 """
@@ -18,6 +22,7 @@ CPU-frequency drift cancels instead of biasing one side.
 from __future__ import annotations
 
 import time
+from unittest import mock
 
 import numpy as np
 
@@ -26,6 +31,17 @@ from repro.core.params import DBGCParams
 from repro.core.pipeline import DBGCCompressor
 from repro.datasets import SensorModel, generate_frame
 from repro.core.polyline import organize_polylines, organize_polylines_py
+import repro.entropy.backend as entropy_backend
+from repro.entropy.arithmetic import (
+    arithmetic_decode,
+    arithmetic_decode_py,
+    arithmetic_encode,
+    arithmetic_encode_py,
+    decode_int_sequence,
+    decode_int_sequence_py,
+    encode_int_sequence,
+    encode_int_sequence_py,
+)
 from repro.core.reference import (
     decode_radial,
     decode_radial_plain,
@@ -43,6 +59,10 @@ from repro.geometry.spherical import (
 
 #: Required advantage of the vectorized kernels over the ``*_py`` oracles.
 MIN_SPEEDUP = 2.0
+
+#: Required advantage of the fused arithmetic-coding kernels (encode +
+#: decode) over their per-symbol ``*_py`` oracles.
+MIN_ENTROPY_SPEEDUP = 1.5
 
 _ROUNDS = 3
 
@@ -195,4 +215,81 @@ def test_serial_parallel_byte_identity():
         wall_times_s={},
         sizes_bytes={"payload.q0.02": len(serial.payload)},
         point_counts={"frame.points": len(cloud)},
+    )
+
+
+def _frame_entropy_streams():
+    """Every adaptive-arith stream of the CI frame, as its backend codes it.
+
+    Returns ``(symbol_streams, int_streams)``: ``(symbols, num_symbols)``
+    pairs and signed integer arrays.
+    """
+    with mock.patch.object(
+        entropy_backend, "arithmetic_encode", wraps=arithmetic_encode
+    ) as symbol_calls, mock.patch.object(
+        entropy_backend, "encode_int_sequence", wraps=encode_int_sequence
+    ) as int_calls:
+        DBGCCompressor(DBGCParams(), sensor=bench_sensor()).compress_detailed(
+            frame("kitti-city")
+        )
+    symbol_streams = [
+        (np.asarray(call.args[0], dtype=np.int64), call.args[1])
+        for call in symbol_calls.call_args_list
+    ]
+    int_streams = [np.asarray(call.args[0]) for call in int_calls.call_args_list]
+    return symbol_streams, int_streams
+
+
+def _code_streams(symbol_streams, int_streams, encode, decode, encode_ints, decode_ints):
+    """Encode, then decode, every stream: ``(encode_s, decode_s, payloads, decoded)``."""
+    start = time.perf_counter()
+    payloads = [encode(symbols, n) for symbols, n in symbol_streams]
+    payloads += [encode_ints(values) for values in int_streams]
+    encode_s = time.perf_counter() - start
+    start = time.perf_counter()
+    decoded = [
+        decode(payload, len(symbols), n)
+        for payload, (symbols, n) in zip(payloads, symbol_streams)
+    ]
+    decoded += [decode_ints(payload) for payload in payloads[len(symbol_streams) :]]
+    return encode_s, time.perf_counter() - start, payloads, decoded
+
+
+def test_entropy_kernel_speedup():
+    symbol_streams, int_streams = _frame_entropy_streams()
+    assert symbol_streams and int_streams
+    fast_enc = fast_dec = py_enc = py_dec = float("inf")
+    for _ in range(_ROUNDS):
+        enc_s, dec_s, fast_payloads, fast_decoded = _code_streams(
+            symbol_streams, int_streams,
+            arithmetic_encode, arithmetic_decode,
+            encode_int_sequence, decode_int_sequence,
+        )
+        fast_enc, fast_dec = min(fast_enc, enc_s), min(fast_dec, dec_s)
+        enc_s, dec_s, py_payloads, py_decoded = _code_streams(
+            symbol_streams, int_streams,
+            arithmetic_encode_py, arithmetic_decode_py,
+            encode_int_sequence_py, decode_int_sequence_py,
+        )
+        py_enc, py_dec = min(py_enc, enc_s), min(py_dec, dec_s)
+    assert fast_payloads == py_payloads
+    originals = [symbols for symbols, _n in symbol_streams] + int_streams
+    for fast, oracle, original in zip(fast_decoded, py_decoded, originals):
+        assert np.array_equal(fast, oracle) and np.array_equal(fast, original)
+
+    record_bench(
+        "kernels",
+        wall_times_s={
+            "entropy_encode.fast": fast_enc,
+            "entropy_encode.py": py_enc,
+            "entropy_decode.fast": fast_dec,
+            "entropy_decode.py": py_dec,
+        },
+        sizes_bytes={"entropy.payload": sum(len(p) for p in fast_payloads)},
+    )
+    speedup = (py_enc + py_dec) / (fast_enc + fast_dec)
+    assert speedup >= MIN_ENTROPY_SPEEDUP, (
+        f"entropy kernels only {speedup:.2f}x over the oracles "
+        f"(needs >= {MIN_ENTROPY_SPEEDUP}x; encode {py_enc / fast_enc:.2f}x, "
+        f"decode {py_dec / fast_dec:.2f}x)"
     )

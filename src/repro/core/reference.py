@@ -51,6 +51,8 @@ SYM_UPPER_LEFT = 3
 
 _BIG = np.iinfo(np.int64).max
 
+_SHORT_SYMBOLS = "corrupt sparse group: reference symbol stream too short"
+
 
 def build_consensus(
     ref_lines: list[tuple[np.ndarray, np.ndarray]],
@@ -300,7 +302,9 @@ def decode_radial(
                     if max(ul, ur, r_bl) - min(ul, ur, r_bl) <= th_r:
                         ref = r_bl
                     else:
-                        symbol = next(symbol_iter)
+                        symbol = next(symbol_iter, None)
+                        if symbol is None:
+                            raise ValueError(_SHORT_SYMBOLS)
                         if symbol == SYM_BOTTOM_LEFT:
                             ref = r_bl
                         elif symbol == SYM_UPPER_RIGHT:
@@ -468,7 +472,9 @@ def _tail_reference_decode(
     trio = (r_ul, r_ur, r_bl)
     if max(trio) - min(trio) <= th_r:
         return r_bl
-    symbol = next(symbol_iter)
+    symbol = next(symbol_iter, None)
+    if symbol is None:
+        raise ValueError(_SHORT_SYMBOLS)
     if symbol == SYM_BOTTOM_LEFT:
         return r_bl
     if symbol == SYM_UPPER_RIGHT:

@@ -381,6 +381,8 @@ def decode_sparse_group(
         nabla = decode_int_sequence(stream, checksum=False)
     else:
         nabla = decode_tagged_ints(stream)
+    if nabla.size != n_points:
+        raise ValueError("corrupt sparse group: radial stream mismatch")
     ref_stream, pos = _read_stream(payload, pos)
     n_symbols, ref_pos = decode_uvarint(ref_stream, 0)
 

@@ -4,16 +4,35 @@ The paper uses an arithmetic coder [58] for the octree occupancy stream,
 the polar-angle delta streams, the radial ``∇L_r`` stream and the reference
 stream ``L_ref``.  This module implements the classic Witten–Neal–Cleary
 integer arithmetic coder with 32-bit registers and an adaptive frequency
-model backed by a Fenwick tree, so both sides stay in lockstep without
-transmitting the model.
+model, so both sides stay in lockstep without transmitting the model.
+
+Two implementations share one wire format, bit for bit:
+
+- :class:`AdaptiveModel`, :class:`ArithmeticEncoder` and
+  :class:`ArithmeticDecoder` code one symbol per call over a Fenwick-tree
+  model.  Callers that switch models per symbol (context-modelled
+  occupancy, G-PCC, k-d tree) use them directly.
+- The whole-stream functions (:func:`arithmetic_encode`,
+  :func:`arithmetic_decode`, :func:`encode_int_sequence`,
+  :func:`decode_int_sequence`) run one fused loop per stream instead.
+  Its model is a two-level table (16-symbol block sums plus per-symbol
+  counts, O(1) update), and it renormalises in one shift per symbol.
+  The per-symbol versions stay as the ``*_py`` identity oracles.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.entropy.bitio import BitReader, BitWriter
-from repro.entropy.varint import decode_uvarint, encode_uvarint
+from repro.entropy.varint import (
+    decode_uvarint,
+    decode_varints,
+    encode_uvarint,
+    encode_varints,
+)
 
 __all__ = [
     "AdaptiveModel",
@@ -23,6 +42,10 @@ __all__ = [
     "arithmetic_decode",
     "encode_int_sequence",
     "decode_int_sequence",
+    "arithmetic_encode_py",
+    "arithmetic_decode_py",
+    "encode_int_sequence_py",
+    "decode_int_sequence_py",
 ]
 
 _CODE_BITS = 32
@@ -31,6 +54,35 @@ _HALF = _FULL >> 1
 _QUARTER = _FULL >> 2
 _THREE_QUARTERS = _HALF + _QUARTER
 _MASK = _FULL - 1
+
+
+def _check_model(num_symbols: int, increment: int, max_total: int) -> None:
+    if num_symbols < 1:
+        raise ValueError(f"need at least one symbol, got {num_symbols}")
+    if increment < 1:
+        raise ValueError(f"increment must be >= 1, got {increment}")
+    if max_total < 2 * num_symbols:
+        raise ValueError("max_total too small for the alphabet")
+
+
+def _check_count(
+    count: int, n_bytes: int, num_symbols: int, increment: int, max_total: int
+) -> None:
+    """Reject a symbol count that an ``n_bytes`` payload cannot hold.
+
+    The model total never exceeds ``top = max(max_total, increment +
+    num_symbols)``, and every other symbol keeps a count >= 1.  So no
+    symbol gets more than ``1 - (num_symbols - 1) / top`` of the interval,
+    plus integer rounding under ``2**-30`` at 32-bit precision, and each
+    coded symbol costs at least ``-log2`` of that in output bits.  Checking
+    this up front bounds the time and memory a corrupt count can cost.
+    """
+    if count < 0:
+        raise ValueError(f"negative symbol count {count}")
+    top = max(max_total, increment + num_symbols)
+    ratio = 1.0 - (num_symbols - 1) / top + 2.0**-30
+    if ratio < 1.0 and count * -math.log2(ratio) > 8 * n_bytes:
+        raise ValueError(f"{count} symbols cannot fit in {n_bytes} payload bytes")
 
 
 class AdaptiveModel:
@@ -43,12 +95,7 @@ class AdaptiveModel:
     """
 
     def __init__(self, num_symbols: int, increment: int = 32, max_total: int = 1 << 16):
-        if num_symbols < 1:
-            raise ValueError(f"need at least one symbol, got {num_symbols}")
-        if increment < 1:
-            raise ValueError(f"increment must be >= 1, got {increment}")
-        if max_total < 2 * num_symbols:
-            raise ValueError("max_total too small for the alphabet")
+        _check_model(num_symbols, increment, max_total)
         self.num_symbols = num_symbols
         self.increment = increment
         self.max_total = max_total
@@ -240,19 +287,181 @@ class ArithmeticDecoder:
         return symbol
 
 
+# -- fused whole-stream kernels --------------------------------------------------
+#
+# Both kernels keep the model as a two-level table: ``freq[s]`` per symbol
+# and ``blocks[b]`` summing the 16 symbols ``16b .. 16b + 15``.  An update
+# touches one entry of each; a cumulative count is two C-level ``sum``
+# calls over at most 16 entries (encoder) or a short scan (decoder).
+# Renormalisation emits or consumes every settled leading bit in one
+# shift, ``32 - (low ^ high).bit_length()``, the same bits the
+# per-symbol E1/E2 loop handles one at a time; E3 follows in a short loop.
+
+
+def _block_sums(freq: list[int]) -> list[int]:
+    return [sum(freq[i : i + 16]) for i in range(0, len(freq), 16)]
+
+
+def _encode_fused(
+    symbols: list[int], num_symbols: int, increment: int, max_total: int
+) -> bytes:
+    freq = [1] * num_symbols
+    blocks = _block_sums(freq)
+    total = num_symbols
+    low, high, pending = 0, _MASK, 0
+    acc = nbits = 0  # output bits not yet flushed to ``out``
+    out = bytearray()
+    for s in symbols:
+        b = s >> 4
+        cum = sum(freq[s & -16 : s])
+        if b:
+            cum += sum(blocks[:b])
+        f = freq[s]
+        span = high - low + 1
+        high = low + span * (cum + f) // total - 1
+        low += span * cum // total
+        freq[s] = f + increment
+        blocks[b] += increment
+        total += increment
+        if total > max_total:
+            freq = [(c + 1) >> 1 for c in freq]
+            blocks = _block_sums(freq)
+            total = sum(blocks)
+        x = low ^ high
+        if x < _HALF:
+            k = 32 - x.bit_length()
+            bits = low >> (32 - k)
+            low = (low << k) & _MASK
+            high = ((high << k) & _MASK) | ((1 << k) - 1)
+            if pending:
+                # The pending E3 bits follow the first settled bit, inverted.
+                m = k - 1
+                if bits >> m:
+                    bits = (1 << (m + pending)) | (bits ^ (1 << m))
+                else:
+                    bits |= ((1 << pending) - 1) << m
+                k += pending
+                pending = 0
+            acc = (acc << k) | bits
+            nbits += k
+            if nbits >= 64:
+                r = nbits & 7
+                out += (acc >> r).to_bytes(nbits >> 3, "big")
+                acc &= (1 << r) - 1
+                nbits = r
+        while low >= _QUARTER and high < _THREE_QUARTERS:
+            pending += 1
+            low = (low - _QUARTER) << 1
+            high = ((high - _QUARTER) << 1) | 1
+    pending += 1
+    last = (1 << pending) - 1 if low < _QUARTER else 1 << pending
+    acc = (acc << (pending + 1)) | last
+    nbits += pending + 1
+    pad = -nbits & 7
+    out += (acc << pad).to_bytes((nbits + pad) >> 3, "big")
+    return bytes(out)
+
+
+def _decode_fused(
+    data: bytes,
+    count: int,
+    num_symbols: int,
+    increment: int,
+    max_total: int,
+    stop_mask: int = 0,
+) -> bytearray | list[int]:
+    """Decode symbols until ``count`` of them have no bit of ``stop_mask`` set.
+
+    With ``stop_mask=0`` that is exactly ``count`` symbols.  With ``0x80``
+    the symbols are varint bytes and decoding stops after the ``count``-th
+    terminator; ten continuation bytes in a row raise ``ValueError``.
+    """
+    freq = [1] * num_symbols
+    blocks = _block_sums(freq)
+    total = num_symbols
+    data = bytes(data)
+    # Input bits come 64 at a time; past the end they are zeros, as
+    # BitReader gives them.
+    buf = int.from_bytes(data[:8].ljust(8, b"\0"), "big")
+    pos = 8
+    avail = 32
+    code = buf >> 32
+    low, high = 0, _MASK
+    # A bytearray holds byte symbols in 1 B each and converts to numpy
+    # without a per-element loop.
+    out: bytearray | list[int] = bytearray() if num_symbols <= 256 else []
+    push = out.append
+    done = run = 0
+    while done < count:
+        span = high - low + 1
+        target = ((code - low + 1) * total - 1) // span
+        rest = target
+        b = 0
+        while rest >= blocks[b]:
+            rest -= blocks[b]
+            b += 1
+        s = b << 4
+        while rest >= freq[s]:
+            rest -= freq[s]
+            s += 1
+        cum = target - rest
+        f = freq[s]
+        high = low + span * (cum + f) // total - 1
+        low += span * cum // total
+        freq[s] = f + increment
+        blocks[b] += increment
+        total += increment
+        if total > max_total:
+            freq = [(c + 1) >> 1 for c in freq]
+            blocks = _block_sums(freq)
+            total = sum(blocks)
+        push(s)
+        if s & stop_mask:
+            run += 1
+            if run == 10:
+                raise ValueError("corrupt varint in arithmetic stream")
+        else:
+            done += 1
+            run = 0
+        x = low ^ high
+        if x < _HALF:
+            k = 32 - x.bit_length()
+            if avail < k:
+                buf = ((buf & ((1 << avail) - 1)) << 64) | int.from_bytes(
+                    data[pos : pos + 8].ljust(8, b"\0"), "big"
+                )
+                pos += 8
+                avail += 64
+            avail -= k
+            low = (low << k) & _MASK
+            high = ((high << k) & _MASK) | ((1 << k) - 1)
+            code = ((code << k) & _MASK) | ((buf >> avail) & ((1 << k) - 1))
+        while low >= _QUARTER and high < _THREE_QUARTERS:
+            if not avail:
+                buf = int.from_bytes(data[pos : pos + 8].ljust(8, b"\0"), "big")
+                pos += 8
+                avail = 64
+            avail -= 1
+            low = (low - _QUARTER) << 1
+            high = ((high - _QUARTER) << 1) | 1
+            code = ((code - _QUARTER) << 1) | ((buf >> avail) & 1)
+    return out
+
+
+def _checked_symbols(symbols: np.ndarray, num_symbols: int) -> np.ndarray:
+    arr = np.asarray(symbols, dtype=np.int64)
+    if arr.size and (arr.min() < 0 or arr.max() >= num_symbols):
+        raise ValueError("symbol out of alphabet range")
+    return arr
+
+
 def arithmetic_encode(
     symbols: np.ndarray, num_symbols: int, increment: int = 32, max_total: int = 1 << 16
 ) -> bytes:
     """Adaptively encode a symbol sequence; inverse is :func:`arithmetic_decode`."""
-    arr = np.asarray(symbols, dtype=np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() >= num_symbols):
-        raise ValueError("symbol out of alphabet range")
-    model = AdaptiveModel(num_symbols, increment=increment, max_total=max_total)
-    encoder = ArithmeticEncoder()
-    encode_one = encoder.encode_symbol
-    for symbol in arr.tolist():
-        encode_one(model, symbol)
-    return encoder.finish()
+    arr = _checked_symbols(symbols, num_symbols)
+    _check_model(num_symbols, increment, max_total)
+    return _encode_fused(arr.tolist(), num_symbols, increment, max_total)
 
 
 def arithmetic_decode(
@@ -263,7 +472,35 @@ def arithmetic_decode(
     max_total: int = 1 << 16,
 ) -> np.ndarray:
     """Decode ``count`` symbols produced by :func:`arithmetic_encode`."""
+    _check_model(num_symbols, increment, max_total)
+    _check_count(count, len(data), num_symbols, increment, max_total)
+    symbols = _decode_fused(data, count, num_symbols, increment, max_total)
+    return np.array(symbols, dtype=np.int64)
+
+
+def arithmetic_encode_py(
+    symbols: np.ndarray, num_symbols: int, increment: int = 32, max_total: int = 1 << 16
+) -> bytes:
+    """Per-symbol oracle for :func:`arithmetic_encode` (identical bytes)."""
+    arr = _checked_symbols(symbols, num_symbols)
     model = AdaptiveModel(num_symbols, increment=increment, max_total=max_total)
+    encoder = ArithmeticEncoder()
+    encode_one = encoder.encode_symbol
+    for symbol in arr.tolist():
+        encode_one(model, symbol)
+    return encoder.finish()
+
+
+def arithmetic_decode_py(
+    data: bytes,
+    count: int,
+    num_symbols: int,
+    increment: int = 32,
+    max_total: int = 1 << 16,
+) -> np.ndarray:
+    """Per-symbol oracle for :func:`arithmetic_decode`."""
+    model = AdaptiveModel(num_symbols, increment=increment, max_total=max_total)
+    _check_count(count, len(data), num_symbols, increment, max_total)
     decoder = ArithmeticDecoder(data)
     decode_one = decoder.decode_symbol
     out = np.empty(count, dtype=np.int64)
@@ -272,9 +509,46 @@ def arithmetic_decode(
     return out
 
 
+# -- integer sequences -----------------------------------------------------------
+
+#: ``(num_symbols, increment, max_total)`` of the varint-byte model.
+_BYTE_MODEL = (256, 32, 1 << 16)
+
+
 def _int_sequence_checksum(byte_sum: int, n_bytes: int) -> int:
     """One-byte integrity check over the zigzag-varint byte stream."""
     return (byte_sum + n_bytes) & 0xFF
+
+
+def _int_sequence_parts(values: np.ndarray) -> tuple[bytes, bytes]:
+    """``(header, varint byte stream)`` of :func:`encode_int_sequence`."""
+    arr = np.asarray(values, dtype=np.int64)
+    header = bytearray()
+    encode_uvarint(arr.size, header)
+    if arr.size == 0:
+        return bytes(header), b""
+    byte_stream = encode_varints(arr, signed=True)
+    header.append(_int_sequence_checksum(sum(byte_stream), len(byte_stream)))
+    return bytes(header), byte_stream
+
+
+def _int_sequence_header(data: bytes, checksum: bool) -> tuple[int, int, int]:
+    """``(count, expected checksum, payload offset)``; ``count`` is validated.
+
+    Each value takes at least one symbol, so a count the payload cannot
+    hold as symbols is rejected before decoding.
+    """
+    count, pos = decode_uvarint(data, 0)
+    if count == 0:
+        return 0, 0, pos
+    expected = 0
+    if checksum:
+        if pos >= len(data):
+            raise ValueError("truncated int sequence (missing checksum)")
+        expected = data[pos]
+        pos += 1
+    _check_count(count, len(data) - pos, *_BYTE_MODEL)
+    return count, expected, pos
 
 
 def encode_int_sequence(values: np.ndarray) -> bytes:
@@ -287,17 +561,10 @@ def encode_int_sequence(values: np.ndarray) -> bytes:
     (the underlying :class:`~repro.entropy.bitio.BitReader` yields phantom
     zero bits past end-of-stream, so truncation is otherwise silent).
     """
-    arr = np.asarray(values, dtype=np.int64)
-    header = bytearray()
-    encode_uvarint(arr.size, header)
-    if arr.size == 0:
-        return bytes(header)
-    from repro.entropy.varint import encode_varints
-
-    byte_stream = encode_varints(arr, signed=True)
-    header.append(_int_sequence_checksum(sum(byte_stream), len(byte_stream)))
-    payload = arithmetic_encode(np.frombuffer(byte_stream, dtype=np.uint8), 256)
-    return bytes(header) + payload
+    header, byte_stream = _int_sequence_parts(values)
+    if not byte_stream:
+        return header
+    return header + _encode_fused(list(byte_stream), *_BYTE_MODEL)
 
 
 def decode_int_sequence(data: bytes, checksum: bool = True) -> np.ndarray:
@@ -307,17 +574,33 @@ def decode_int_sequence(data: bytes, checksum: bool = True) -> np.ndarray:
     no integrity byte between the count header and the arithmetic payload
     (needed to read v1 DBGC containers bit-identically).
     """
-    count, pos = decode_uvarint(data, 0)
+    count, expected, pos = _int_sequence_header(data, checksum)
     if count == 0:
         return np.empty(0, dtype=np.int64)
-    expected = 0
-    if checksum:
-        if pos >= len(data):
-            raise ValueError("truncated int sequence (missing checksum)")
-        expected = data[pos]
-        pos += 1
-    # Varints are self-delimiting: decode bytes until `count` values complete.
-    model = AdaptiveModel(256)
+    # Varints are self-delimiting: the kernel stops after `count` terminators.
+    raw = _decode_fused(data[pos:], count, *_BYTE_MODEL, stop_mask=0x80)
+    values = decode_varints(raw, count, signed=True)
+    if checksum and _int_sequence_checksum(sum(raw), len(raw)) != expected:
+        raise ValueError("truncated or corrupt int sequence (checksum mismatch)")
+    return values
+
+
+def encode_int_sequence_py(values: np.ndarray) -> bytes:
+    """Per-symbol oracle for :func:`encode_int_sequence` (identical bytes)."""
+    header, byte_stream = _int_sequence_parts(values)
+    if not byte_stream:
+        return header
+    return header + arithmetic_encode_py(
+        np.frombuffer(byte_stream, dtype=np.uint8), *_BYTE_MODEL
+    )
+
+
+def decode_int_sequence_py(data: bytes, checksum: bool = True) -> np.ndarray:
+    """Per-symbol oracle for :func:`decode_int_sequence`."""
+    count, expected, pos = _int_sequence_header(data, checksum)
+    if count == 0:
+        return np.empty(0, dtype=np.int64)
+    model = AdaptiveModel(*_BYTE_MODEL)
     decoder = ArithmeticDecoder(data[pos:])
     values = np.empty(count, dtype=np.int64)
     done = 0

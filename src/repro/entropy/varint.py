@@ -92,21 +92,23 @@ def decode_varints(data: bytes, count: int, signed: bool = True) -> np.ndarray:
     if count == 0:
         return np.empty(0, dtype=np.int64)
     raw = np.frombuffer(data, dtype=np.uint8)
-    terminators = np.flatnonzero((raw & 0x80) == 0)
-    if len(terminators) < count:
+    ends = np.flatnonzero(raw < 0x80)[:count]
+    if len(ends) < count:
         raise ValueError("truncated varint")
-    terminators = terminators[:count]
-    end = int(terminators[-1]) + 1
-    raw = raw[:end]
-    starts = np.zeros(count, dtype=np.int64)
-    starts[1:] = terminators[:-1] + 1
-    if int((terminators - starts).max()) + 1 > 10:
+    lengths = np.diff(ends, prepend=-1)
+    longest = int(lengths.max())
+    if longest > 10:
         raise ValueError("varint too long")
-    byte_off = (np.arange(end) - np.repeat(starts, terminators - starts + 1)).astype(
-        np.uint64
-    )
-    contrib = (raw.astype(np.uint64) & np.uint64(0x7F)) << (np.uint64(7) * byte_off)
-    values = np.add.reduceat(contrib, starts)
+    # A 10th byte carries bit 63 only; anything above 1 overflows 64 bits.
+    if longest == 10 and int(raw[ends[lengths == 10]].max()) > 1:
+        raise ValueError("varint overflows 64 bits")
+    # Horner's rule from each terminator back to the varint's first byte,
+    # over the still-unfinished varints only.
+    values = raw[ends].astype(np.uint64)
+    todo = np.flatnonzero(lengths > 1)
+    for k in range(1, longest):
+        values[todo] = (values[todo] << np.uint64(7)) | (raw[ends[todo] - k] & 0x7F)
+        todo = todo[lengths[todo] > k + 1]
     if signed:
         return zigzag_decode(values)
     return values.astype(np.int64)

@@ -1,6 +1,7 @@
 """Tests for radial-distance-optimized delta encoding (Definition 3.3)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,6 +9,7 @@ from repro.core.reference import (
     build_consensus,
     decode_radial,
     decode_radial_plain,
+    decode_radial_py,
     encode_radial,
     encode_radial_plain,
 )
@@ -147,6 +149,37 @@ class TestRadialRoundtrip:
         decoded = decode_radial(lines_theta, line_phis, nabla, symbols, th_phi, th_r)
         for got, want in zip(decoded, lines_r):
             assert np.array_equal(got, want)
+
+
+class TestShortSymbolStream:
+    """A short L_ref stream is a typed decode error, never a bare StopIteration."""
+
+    def _encoded(self):
+        rng = np.random.default_rng(5)
+        spec = [(list(range(30)), rng.integers(0, 3000, 30).tolist()) for _ in range(6)]
+        lines_theta, lines_r = _lines(spec)
+        line_phis = list(range(len(spec)))
+        nabla, symbols = encode_radial(lines_theta, lines_r, line_phis, 2, 5)
+        assert len(symbols) >= 4
+        short = np.asarray(symbols[: len(symbols) // 2], dtype=np.int64)
+        return lines_theta, line_phis, nabla, short
+
+    @pytest.mark.parametrize("decode", [decode_radial, decode_radial_py])
+    def test_direct_call(self, decode):
+        lines_theta, line_phis, nabla, short = self._encoded()
+        with pytest.raises(ValueError, match="reference symbol stream too short"):
+            decode(lines_theta, line_phis, nabla, short, 2, 5)
+
+    @pytest.mark.parametrize("decode", [decode_radial, decode_radial_py])
+    def test_inside_generator(self, decode):
+        """PEP 479 would turn a leaked StopIteration into RuntimeError here."""
+        lines_theta, line_phis, nabla, short = self._encoded()
+
+        def frames():
+            yield decode(lines_theta, line_phis, nabla, short, 2, 5)
+
+        with pytest.raises(ValueError, match="reference symbol stream too short"):
+            list(frames())
 
 
 class TestPlainRadial:

@@ -84,3 +84,22 @@ class TestVarintSequences:
         arr = np.array(values, dtype=np.int64)
         data = encode_varints(arr)
         assert np.array_equal(decode_varints(data, len(values)), arr)
+
+
+class TestVarintOverflow:
+    """A 10-byte varint holds 64 bits: its last byte may only be 0 or 1."""
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_tenth_byte_above_one_rejected(self, signed):
+        with pytest.raises(ValueError):
+            decode_varints(bytes([0xFF] * 9 + [0x7F]), 1, signed=signed)
+        with pytest.raises(ValueError):
+            decode_varints(bytes([0x05, 0xFF] + [0x80] * 8 + [0x02]), 2, signed=signed)
+
+    def test_int64_extremes_roundtrip(self):
+        values = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0])
+        data = encode_varints(values, signed=True)
+        assert np.array_equal(decode_varints(data, len(values), signed=True), values)
+        assert np.array_equal(
+            decode_varints(bytes([0xFF] * 9 + [0x01]), 1, signed=False), [-1]
+        )
