@@ -15,6 +15,13 @@ The ``entropy`` row does the same for the fused arithmetic-coding kernels
 (:mod:`repro.entropy.arithmetic`) on every adaptive-arith stream of the CI
 frame: identical bytes and symbols, and >= 1.5x on encode + decode.
 
+The ``temporal-occupancy`` row codes the delta occupancy streams of the
+temporal CI drive (``bench_temporal.py``'s scene and seed) with the fused
+binary-context kernels and with the per-bit class oracle
+(``tests/oracles.py``), models persisting across frames:
+identical bytes, leaf codes and model counts, and >= 2x on encode +
+decode.
+
 Timing loops are interleaved (fast/oracle alternating, min-of-N) so
 CPU-frequency drift cancels instead of biasing one side.
 """
@@ -26,21 +33,21 @@ from unittest import mock
 
 import numpy as np
 
+from benchmarks.bench_temporal import SCENE as TEMPORAL_SCENE
+from benchmarks.bench_temporal import SEED as TEMPORAL_SEED
 from benchmarks.common import bench_sensor, frame, record_bench
+from repro.core import temporal
 from repro.core.params import DBGCParams
 from repro.core.pipeline import DBGCCompressor
 from repro.datasets import SensorModel, generate_frame
+from repro.datasets.trajectories import generate_sequence, straight
 from repro.core.polyline import organize_polylines, organize_polylines_py
 import repro.entropy.backend as entropy_backend
 from repro.entropy.arithmetic import (
     arithmetic_decode,
-    arithmetic_decode_py,
     arithmetic_encode,
-    arithmetic_encode_py,
     decode_int_sequence,
-    decode_int_sequence_py,
     encode_int_sequence,
-    encode_int_sequence_py,
 )
 from repro.core.reference import (
     decode_radial,
@@ -56,6 +63,15 @@ from repro.geometry.spherical import (
     cartesian_to_spherical,
     spherical_error_bounds,
 )
+from tests.oracles import (
+    arithmetic_decode_py,
+    arithmetic_encode_py,
+    code_occupancy_py,
+    decode_int_sequence_py,
+    decode_occupancy_py,
+    encode_int_sequence_py,
+    to_counts,
+)
 
 #: Required advantage of the vectorized kernels over the ``*_py`` oracles.
 MIN_SPEEDUP = 2.0
@@ -63,6 +79,12 @@ MIN_SPEEDUP = 2.0
 #: Required advantage of the fused arithmetic-coding kernels (encode +
 #: decode) over their per-symbol ``*_py`` oracles.
 MIN_ENTROPY_SPEEDUP = 1.5
+
+#: Required advantage of the fused temporal occupancy kernels (encode +
+#: decode) over the per-bit class oracle.
+MIN_TEMPORAL_SPEEDUP = 2.0
+#: Frames of the temporal drive: one keyframe, then delta frames.
+_TEMPORAL_FRAMES = 6
 
 _ROUNDS = 3
 
@@ -291,5 +313,89 @@ def test_entropy_kernel_speedup():
     assert speedup >= MIN_ENTROPY_SPEEDUP, (
         f"entropy kernels only {speedup:.2f}x over the oracles "
         f"(needs >= {MIN_ENTROPY_SPEEDUP}x; encode {py_enc / fast_enc:.2f}x, "
+        f"decode {py_dec / fast_dec:.2f}x)"
+    )
+
+
+def _delta_occupancy_streams():
+    """``(occupancy bytes, predictor maps, depth)`` of every delta frame
+    of the temporal CI drive, in coding order."""
+    sensor = bench_sensor()
+    trajectory = straight(_TEMPORAL_FRAMES)
+    frames = generate_sequence(TEMPORAL_SCENE, trajectory, sensor=sensor, seed=TEMPORAL_SEED)
+    compressor = DBGCCompressor(DBGCParams(temporal=True), sensor=sensor)
+    context = temporal.TemporalContext()
+    streams = []
+    real = temporal._code_occupancy
+
+    def record(occ, maps, depth, models):
+        streams.append((occ, maps, depth))
+        return real(occ, maps, depth, models)
+
+    with mock.patch.object(temporal, "_code_occupancy", record):
+        prev = trajectory[0]
+        for cloud, position in zip(frames, trajectory):
+            ego = (position[0] - prev[0], position[1] - prev[1], 0.0)
+            compressor.compress_temporal(cloud, context, ego_delta=ego)
+            prev = position
+    return streams
+
+
+def _code_occupancy_chain(streams, encode, decode, fresh, counts):
+    """Encode, then decode, every stream with models persisting across
+    streams: ``(encode_s, decode_s, payloads, leaves, encoder models,
+    decoder models)``, models as ``(f0, f1)`` counts."""
+    models = fresh()
+    start = time.perf_counter()
+    payloads = [encode(occ, maps, depth, models) for occ, maps, depth in streams]
+    encode_s = time.perf_counter() - start
+    decoder_models = fresh()
+    start = time.perf_counter()
+    leaves = [
+        decode(payload, maps, depth, decoder_models, 8 * len(occ))
+        for payload, (occ, maps, depth) in zip(payloads, streams)
+    ]
+    decode_s = time.perf_counter() - start
+    return (
+        encode_s, decode_s, payloads, leaves, counts(models), counts(decoder_models)
+    )
+
+
+def test_temporal_occupancy_kernel_speedup():
+    streams = _delta_occupancy_streams()
+    assert streams
+    oracle_streams = [(occ.astype(np.int64), maps, depth) for occ, maps, depth in streams]
+    fast_enc = fast_dec = py_enc = py_dec = float("inf")
+    for _ in range(_ROUNDS):
+        enc_s, dec_s, *fast = _code_occupancy_chain(
+            streams, temporal._code_occupancy, temporal._decode_occupancy,
+            temporal._fresh_models, lambda models: models,
+        )
+        fast_enc, fast_dec = min(fast_enc, enc_s), min(fast_dec, dec_s)
+        enc_s, dec_s, *oracle = _code_occupancy_chain(
+            oracle_streams, code_occupancy_py, decode_occupancy_py, dict, to_counts,
+        )
+        py_enc, py_dec = min(py_enc, enc_s), min(py_dec, dec_s)
+    payloads, leaves, enc_models, dec_models = fast
+    assert payloads == oracle[0]
+    for a, b in zip(leaves, oracle[1]):
+        assert np.array_equal(a, b)
+    assert enc_models == dec_models == oracle[2] == oracle[3]
+
+    record_bench(
+        "kernels",
+        wall_times_s={
+            "temporal_occupancy_encode.fast": fast_enc,
+            "temporal_occupancy_encode.py": py_enc,
+            "temporal_occupancy_decode.fast": fast_dec,
+            "temporal_occupancy_decode.py": py_dec,
+        },
+        sizes_bytes={"temporal_occupancy.payload": sum(len(p) for p in payloads)},
+        point_counts={"temporal_occupancy.leaves": sum(len(x) for x in leaves)},
+    )
+    speedup = (py_enc + py_dec) / (fast_enc + fast_dec)
+    assert speedup >= MIN_TEMPORAL_SPEEDUP, (
+        f"temporal occupancy kernels only {speedup:.2f}x over the oracle "
+        f"(needs >= {MIN_TEMPORAL_SPEEDUP}x; encode {py_enc / fast_enc:.2f}x, "
         f"decode {py_dec / fast_dec:.2f}x)"
     )

@@ -15,6 +15,11 @@ byte-exact round-trip guarantee of the intra codec:
   a radially dilated version (**D**, absorbing the half-leaf jitter of
   re-quantization), and an ego-motion-compensated dilated version
   (**M**).  Models persist across delta frames and reset at keyframes.
+  They are two flat count lists over :data:`N_OCC_CONTEXTS` context ids;
+  numpy derives every bit's context per tree level and one fused
+  binary-context kernel (:mod:`repro.entropy.arithmetic`) codes the
+  stream.  A decoded level with more nodes than the frame has leaves is
+  rejected, which bounds the cost of a corrupt payload.
 
 * **Sparse radial (d3) delta coding.**  For each polyline point the
   previous frame's decoded sparse points are matched by quantized ray
@@ -71,11 +76,7 @@ from repro.core.sparse_codec import (
     decode_sparse_group,
     encode_sparse_group,
 )
-from repro.entropy.arithmetic import (
-    AdaptiveModel,
-    ArithmeticDecoder,
-    ArithmeticEncoder,
-)
+from repro.entropy.arithmetic import binary_context_decoder, binary_context_encode
 from repro.entropy.backend import (
     decode_tagged_ints,
     decode_tagged_symbols,
@@ -117,6 +118,22 @@ KEYFRAME_MAX_VERSION = 2
 #: Adaptivity of the binary occupancy-bit models (faster than the intra
 #: byte model's 32 because each context sees far fewer symbols).
 _OCC_INCREMENT = 24
+#: Tree levels with their own contexts; deeper levels share the last.
+_OCC_LEVELS = 7
+#: Occupancy-bit context ids, most significant field first: level (7),
+#: E, D and M predictor bits (2 each), bit position (8), dilated
+#: popcount capped at 3 (4), popcount of the byte's decoded bits so far
+#: capped at 2 (3).
+N_OCC_CONTEXTS = _OCC_LEVELS * 2 * 2 * 2 * 8 * 4 * 3
+_BIT = np.arange(8)
+#: ``[byte, b] -> (byte >> b) & 1``.
+_BYTE_BITS = np.unpackbits(
+    np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"
+).astype(np.int64)
+#: ``min(popcount(byte), 3)``.
+_DPOP = np.minimum(_BYTE_BITS.sum(axis=1), 3)
+#: ``[byte, b] -> min(popcount(byte & ((1 << b) - 1)), 2)``.
+_PREFIX_POP = np.minimum(np.cumsum(_BYTE_BITS, axis=1) - _BYTE_BITS, 2)
 #: Candidate spread (in radial quantization steps) above which a selector
 #: symbol is spent instead of trusting the motion-compensated match.
 _SPREAD_FLAG = 4
@@ -141,7 +158,7 @@ class TemporalContext:
         self.prev_cloud: np.ndarray | None = None
         self.prev_sparse: np.ndarray | None = None
         self.prev_dense_origin: np.ndarray | None = None
-        self.occ_models: dict[tuple, AdaptiveModel] = {}
+        self.occ_models = _fresh_models()
         self._fingerprint: int | None = None
 
     @property
@@ -153,7 +170,7 @@ class TemporalContext:
         self.prev_cloud = None
         self.prev_sparse = None
         self.prev_dense_origin = None
-        self.occ_models = {}
+        self.occ_models = _fresh_models()
         self._fingerprint = None
 
     def fingerprint(self) -> int:
@@ -180,7 +197,7 @@ class TemporalContext:
     ) -> None:
         """Record one decoded frame as the predictor for the next."""
         if keyframe:
-            self.occ_models = {}
+            self.occ_models = _fresh_models()
         chunks = [np.asarray(c, dtype=np.float64).reshape(-1, 3) for c in groups]
         dense = np.asarray(dense, dtype=np.float64).reshape(-1, 3)
         outliers = np.asarray(outliers, dtype=np.float64).reshape(-1, 3)
@@ -197,18 +214,18 @@ class TemporalContext:
         self._fingerprint = None
 
 
-def _clone_models(models: dict[tuple, AdaptiveModel]) -> dict[tuple, AdaptiveModel]:
-    """Deep-copy the adaptive models so a *trial* encode can be discarded."""
-    clone: dict[tuple, AdaptiveModel] = {}
-    for key, model in models.items():
-        fresh = AdaptiveModel(
-            model.num_symbols, increment=model.increment, max_total=model.max_total
-        )
-        fresh._freq = list(model._freq)
-        fresh.total = model.total
-        fresh._tree = list(model._tree)
-        clone[key] = fresh
-    return clone
+#: Occupancy-bit models: per context id, the counts of 0 and of 1 bits
+#: (each an ``AdaptiveModel(2, increment=_OCC_INCREMENT)``).
+OccModels = tuple[list[int], list[int]]
+
+
+def _fresh_models() -> OccModels:
+    return [1] * N_OCC_CONTEXTS, [1] * N_OCC_CONTEXTS
+
+
+def _clone_models(models: OccModels) -> OccModels:
+    """Copy the models so a *trial* encode can be discarded."""
+    return list(models[0]), list(models[1])
 
 
 # -- dense (octree occupancy) delta coding ----------------------------------------
@@ -277,84 +294,72 @@ def _pred_maps(
     ]
 
 
-def _bit_context(level: int, e: int, d: int, m: int, b: int, decoded: int, dpop: int):
-    return (
-        level,
-        (e >> b) & 1,
-        (d >> b) & 1,
-        (m >> b) & 1,
-        b,
-        min(bin(decoded).count("1"), 2),
-        dpop,
-    )
+def _level_contexts(
+    level: int, e: np.ndarray, d: np.ndarray, m: np.ndarray
+) -> np.ndarray:
+    """Context ids, less the prefix-popcount term, of each node's 8 bits.
+
+    ``e``, ``d`` and ``m`` are the nodes' predictor occupancy bytes;
+    returns an ``(n, 8)`` array, bit ``b`` in column ``b``.
+    """
+    ctx = min(level, _OCC_LEVELS - 1)
+    for pred in (e, d, m):
+        ctx = ctx * 2 + ((pred[:, None] >> _BIT) & 1)
+    return ((ctx * 8 + _BIT) * 4 + _DPOP[d][:, None]) * 3
 
 
 def _code_occupancy(
     occ: np.ndarray,
     pred_maps: list[list[tuple[np.ndarray, np.ndarray]]],
     depth: int,
-    models: dict[tuple, AdaptiveModel],
+    models: OccModels,
 ) -> bytes:
     """Context-code the occupancy stream; mutates ``models`` (pass a clone
     for a trial encode and commit it only if delta mode is chosen)."""
-    encoder = ArithmeticEncoder()
+    contexts = []
+    bits = []
     nodes = np.zeros(1, dtype=np.int64)
     offset = 0
     for level in range(depth):
-        n = len(nodes)
-        level_occ = occ[offset : offset + n]
-        preds = [_predict_level(nodes, maps[level]) for maps in pred_maps]
-        level_bounded = min(level, 6)
-        pe, pd, pm = (p.tolist() for p in preds)
-        for i, byte in enumerate(level_occ.tolist()):
-            e, d, m = pe[i], pd[i], pm[i]
-            dpop = min(bin(d).count("1"), 3)
-            decoded = 0
-            for b in range(8):
-                bit = (byte >> b) & 1
-                ctx = _bit_context(level_bounded, e, d, m, b, decoded, dpop)
-                model = models.get(ctx)
-                if model is None:
-                    model = AdaptiveModel(2, increment=_OCC_INCREMENT)
-                    models[ctx] = model
-                cum_low, cum_high = model.cum_range(bit)
-                encoder.encode(cum_low, cum_high, model.total)
-                model.update(bit)
-                decoded |= bit << b
-        nodes = expand_occupancy_level(nodes, level_occ.astype(np.uint8))
-        offset += n
-    return encoder.finish()
+        level_occ = occ[offset : offset + len(nodes)]
+        e, d, m = (_predict_level(nodes, maps[level]) for maps in pred_maps)
+        contexts.append(_level_contexts(level, e, d, m) + _PREFIX_POP[level_occ])
+        bits.append(_BYTE_BITS[level_occ])
+        offset += len(nodes)
+        nodes = expand_occupancy_level(nodes, level_occ)
+    return binary_context_encode(
+        np.concatenate(contexts).ravel().tolist(),
+        np.concatenate(bits).ravel().tolist(),
+        *models,
+        _OCC_INCREMENT,
+    )
 
 
 def _decode_occupancy(
     payload: bytes,
     pred_maps: list[list[tuple[np.ndarray, np.ndarray]]],
     depth: int,
-    models: dict[tuple, AdaptiveModel],
+    models: OccModels,
+    max_nodes: int,
 ) -> np.ndarray:
-    """Mirror of :func:`_code_occupancy`; returns the leaf Morton codes."""
-    decoder = ArithmeticDecoder(payload)
+    """Mirror of :func:`_code_occupancy`; returns the leaf Morton codes.
+
+    Raises ``ValueError`` once a level holds more than ``max_nodes`` nodes,
+    so a corrupt payload costs at most ``depth * max_nodes`` bytes' work.
+    """
+    decoder = binary_context_decoder(payload, *models, _OCC_INCREMENT)
+    next(decoder)
     nodes = np.zeros(1, dtype=np.int64)
     for level in range(depth):
-        n = len(nodes)
-        preds = [_predict_level(nodes, maps[level]) for maps in pred_maps]
-        level_bounded = min(level, 6)
-        pe, pd, pm = (p.tolist() for p in preds)
-        level_occ = np.empty(n, dtype=np.uint8)
-        for i in range(n):
-            e, d, m = pe[i], pd[i], pm[i]
-            dpop = min(bin(d).count("1"), 3)
-            decoded = 0
-            for b in range(8):
-                ctx = _bit_context(level_bounded, e, d, m, b, decoded, dpop)
-                model = models.get(ctx)
-                if model is None:
-                    model = AdaptiveModel(2, increment=_OCC_INCREMENT)
-                    models[ctx] = model
-                bit = decoder.decode_symbol(model)
-                decoded |= bit << b
-            level_occ[i] = decoded
-        nodes = expand_occupancy_level(nodes, level_occ)
+        e, d, m = (_predict_level(nodes, maps[level]) for maps in pred_maps)
+        # One row of base ids per distinct predictor triple, shared by its
+        # nodes: a row per node would hold 8 int objects for each.
+        keys, inverse = np.unique((e << 16) | (d << 8) | m, return_inverse=True)
+        rows = _level_contexts(level, keys >> 16, (keys >> 8) & 255, keys & 255).tolist()
+        level_occ = decoder.send([rows[i] for i in inverse.tolist()])
+        nodes = expand_occupancy_level(nodes, np.frombuffer(level_occ, dtype=np.uint8))
+        if len(nodes) > max_nodes:
+            raise ValueError("corrupt occupancy stream: more octree nodes than leaves")
     return nodes
 
 
@@ -387,7 +392,7 @@ def _encode_dense_delta(
     params: DBGCParams,
     context: TemporalContext,
     ego_delta,
-    models: dict[tuple, AdaptiveModel],
+    models: OccModels,
 ):
     """Delta-code the dense set on the chain-snapped grid.
 
@@ -412,7 +417,7 @@ def _encode_dense_delta(
     np.clip(cells, 0, (1 << depth) - 1, out=cells)
     codes = interleave3(cells[:, 0], cells[:, 1], cells[:, 2])
     structure = build_octree_structure(codes, depth)
-    occ = structure.occupancy_stream().astype(np.int64)
+    occ = structure.occupancy_stream()
     maps = _pred_maps(context.prev_cloud, origin, leaf, depth, ego_delta)
     occ_payload = _code_occupancy(occ, maps, depth, models)
     out = bytearray()
@@ -441,12 +446,19 @@ def _decode_dense_delta(
     pos += _DENSE_HEADER.size
     origin = np.array([ox, oy, oz], dtype=np.float64)
     depth, pos = decode_uvarint(data, pos)
+    if not 1 <= depth <= MAX_DEPTH_3D:
+        raise ValueError(f"corrupt dense delta: octree depth {depth}")
     occ_len, pos = decode_uvarint(data, pos)
     occ_payload = data[pos : pos + occ_len]
     pos += occ_len
-    maps = _pred_maps(context.prev_cloud, origin, leaf, depth, ego_delta)
-    leaf_codes = _decode_occupancy(occ_payload, maps, depth, context.occ_models)
     counts = decode_tagged_ints(data[pos:]) + 1
+    if counts.size == 0 or counts.min() < 1 or int(counts.sum()) != n_points:
+        raise ValueError("leaf count stream does not match the point count")
+    maps = _pred_maps(context.prev_cloud, origin, leaf, depth, ego_delta)
+    # Every node has a leaf below it: no level holds more nodes than leaves.
+    leaf_codes = _decode_occupancy(
+        occ_payload, maps, depth, context.occ_models, counts.size
+    )
     if counts.size != leaf_codes.size:
         raise ValueError("leaf count stream does not match occupancy tree")
     return _leaf_points(leaf_codes, counts, origin, leaf), origin

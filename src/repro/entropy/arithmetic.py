@@ -6,23 +6,27 @@ stream ``L_ref``.  This module implements the classic Witten–Neal–Cleary
 integer arithmetic coder with 32-bit registers and an adaptive frequency
 model, so both sides stay in lockstep without transmitting the model.
 
-Two implementations share one wire format, bit for bit:
+Three implementations share one wire format, bit for bit:
 
 - :class:`AdaptiveModel`, :class:`ArithmeticEncoder` and
   :class:`ArithmeticDecoder` code one symbol per call over a Fenwick-tree
-  model.  Callers that switch models per symbol (context-modelled
-  occupancy, G-PCC, k-d tree) use them directly.
+  model.  Callers that switch models per symbol (G-PCC, k-d tree) use
+  them directly.
 - The whole-stream functions (:func:`arithmetic_encode`,
   :func:`arithmetic_decode`, :func:`encode_int_sequence`,
   :func:`decode_int_sequence`) run one fused loop per stream instead.
   Its model is a two-level table (16-symbol block sums plus per-symbol
   counts, O(1) update), and it renormalises in one shift per symbol.
-  The per-symbol versions stay as the ``*_py`` identity oracles.
+  The per-symbol oracles they must match live in ``tests/oracles.py``.
+- :func:`binary_context_encode` and :func:`binary_context_decoder` code
+  bits under many binary models, one per context id, held as two flat
+  count lists (the temporal occupancy coder).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Generator
 
 import numpy as np
 
@@ -42,10 +46,8 @@ __all__ = [
     "arithmetic_decode",
     "encode_int_sequence",
     "decode_int_sequence",
-    "arithmetic_encode_py",
-    "arithmetic_decode_py",
-    "encode_int_sequence_py",
-    "decode_int_sequence_py",
+    "binary_context_encode",
+    "binary_context_decoder",
 ]
 
 _CODE_BITS = 32
@@ -302,6 +304,17 @@ def _block_sums(freq: list[int]) -> list[int]:
     return [sum(freq[i : i + 16]) for i in range(0, len(freq), 16)]
 
 
+def _final_bits(acc: int, nbits: int, pending: int, low: int) -> bytes:
+    """The ``nbits`` unflushed bits in ``acc`` plus the terminating ones,
+    zero-padded to whole bytes."""
+    pending += 1
+    last = (1 << pending) - 1 if low < _QUARTER else 1 << pending
+    acc = (acc << (pending + 1)) | last
+    nbits += pending + 1
+    pad = -nbits & 7
+    return (acc << pad).to_bytes((nbits + pad) >> 3, "big")
+
+
 def _encode_fused(
     symbols: list[int], num_symbols: int, increment: int, max_total: int
 ) -> bytes:
@@ -353,13 +366,7 @@ def _encode_fused(
             pending += 1
             low = (low - _QUARTER) << 1
             high = ((high - _QUARTER) << 1) | 1
-    pending += 1
-    last = (1 << pending) - 1 if low < _QUARTER else 1 << pending
-    acc = (acc << (pending + 1)) | last
-    nbits += pending + 1
-    pad = -nbits & 7
-    out += (acc << pad).to_bytes((nbits + pad) >> 3, "big")
-    return bytes(out)
+    return bytes(out + _final_bits(acc, nbits, pending, low))
 
 
 def _decode_fused(
@@ -448,6 +455,146 @@ def _decode_fused(
     return out
 
 
+# -- binary-context kernels ----------------------------------------------------
+#
+# Context-modelled binary coding keeps one ``AdaptiveModel(2, increment)``
+# per context id ``c`` as two flat count lists: its cumulative ranges are
+# ``(0, f0[c])`` for a 0 and ``(f0[c], f0[c] + f1[c])`` for a 1.  One bit
+# therefore splits the interval once, at ``low + span * f0 // total`` (the
+# decoder's ``target >= f0`` test is the same as ``code >= split``), and a
+# total above the model's default ``max_total`` halves both counts,
+# rounding up.  Renormalisation is the batched one of the fused kernels
+# above.
+
+#: ``AdaptiveModel``'s default ``max_total``, the binary models' too.
+_BINARY_MAX_TOTAL = 1 << 16
+
+
+def binary_context_encode(
+    contexts: list[int], bits: list[int], f0: list[int], f1: list[int], increment: int
+) -> bytes:
+    """Code ``bits[i]`` under context ``contexts[i]``; updates ``f0``/``f1``.
+
+    The bytes equal an :class:`ArithmeticEncoder` run that codes each bit
+    with ``encode_symbol`` under its context's binary model.
+    """
+    low, high, pending = 0, _MASK, 0
+    acc = nbits = 0  # output bits not yet flushed to ``out``
+    out = bytearray()
+    for c, bit in zip(contexts, bits):
+        n0 = f0[c]
+        n1 = f1[c]
+        split = low + (high - low + 1) * n0 // (n0 + n1)
+        if bit:
+            low = split
+            n1 += increment
+        else:
+            high = split - 1
+            n0 += increment
+        if n0 + n1 > _BINARY_MAX_TOTAL:
+            n0 = (n0 + 1) >> 1
+            n1 = (n1 + 1) >> 1
+        f0[c] = n0
+        f1[c] = n1
+        x = low ^ high
+        if x < _HALF:
+            k = 32 - x.bit_length()
+            out_bits = low >> (32 - k)
+            low = (low << k) & _MASK
+            high = ((high << k) & _MASK) | ((1 << k) - 1)
+            if pending:
+                m = k - 1
+                if out_bits >> m:
+                    out_bits = (1 << (m + pending)) | (out_bits ^ (1 << m))
+                else:
+                    out_bits |= ((1 << pending) - 1) << m
+                k += pending
+                pending = 0
+            acc = (acc << k) | out_bits
+            nbits += k
+            if nbits >= 64:
+                r = nbits & 7
+                out += (acc >> r).to_bytes(nbits >> 3, "big")
+                acc &= (1 << r) - 1
+                nbits = r
+        while low >= _QUARTER and high < _THREE_QUARTERS:
+            pending += 1
+            low = (low - _QUARTER) << 1
+            high = ((high - _QUARTER) << 1) | 1
+    return bytes(out + _final_bits(acc, nbits, pending, low))
+
+
+def binary_context_decoder(
+    data: bytes, f0: list[int], f1: list[int], increment: int
+) -> Generator[bytearray, list[list[int]], None]:
+    """Decode a :func:`binary_context_encode` stream in batches.
+
+    Prime the generator with ``next()``, then ``send`` it one batch of
+    rows at a time (one octree level, say, so the caller can derive the
+    next contexts from what it decoded); it answers one byte per row.
+    Bit ``b`` (least significant first) of a row's byte is coded under
+    context ``row[b] + min(p, 2)``, ``p`` being the 1 bits already
+    decoded in that byte.  Updates ``f0``/``f1`` in place.
+    """
+    data = bytes(data)
+    buf = int.from_bytes(data[:8].ljust(8, b"\0"), "big")
+    pos = 8
+    avail = 32
+    code = buf >> 32
+    low, high = 0, _MASK
+    out = bytearray()
+    while True:
+        bases = yield out
+        out = bytearray()
+        for row in bases:
+            byte = 0
+            p = 0
+            mask = 1
+            for c in row:
+                c += p
+                n0 = f0[c]
+                n1 = f1[c]
+                split = low + (high - low + 1) * n0 // (n0 + n1)
+                if code >= split:
+                    low = split
+                    n1 += increment
+                    byte |= mask
+                    if p < 2:
+                        p += 1
+                else:
+                    high = split - 1
+                    n0 += increment
+                mask <<= 1
+                if n0 + n1 > _BINARY_MAX_TOTAL:
+                    n0 = (n0 + 1) >> 1
+                    n1 = (n1 + 1) >> 1
+                f0[c] = n0
+                f1[c] = n1
+                x = low ^ high
+                if x < _HALF:
+                    k = 32 - x.bit_length()
+                    if avail < k:
+                        buf = ((buf & ((1 << avail) - 1)) << 64) | int.from_bytes(
+                            data[pos : pos + 8].ljust(8, b"\0"), "big"
+                        )
+                        pos += 8
+                        avail += 64
+                    avail -= k
+                    low = (low << k) & _MASK
+                    high = ((high << k) & _MASK) | ((1 << k) - 1)
+                    code = ((code << k) & _MASK) | ((buf >> avail) & ((1 << k) - 1))
+                while low >= _QUARTER and high < _THREE_QUARTERS:
+                    if not avail:
+                        buf = int.from_bytes(data[pos : pos + 8].ljust(8, b"\0"), "big")
+                        pos += 8
+                        avail = 64
+                    avail -= 1
+                    low = (low - _QUARTER) << 1
+                    high = ((high - _QUARTER) << 1) | 1
+                    code = ((code - _QUARTER) << 1) | ((buf >> avail) & 1)
+            out.append(byte)
+
+
 def _checked_symbols(symbols: np.ndarray, num_symbols: int) -> np.ndarray:
     arr = np.asarray(symbols, dtype=np.int64)
     if arr.size and (arr.min() < 0 or arr.max() >= num_symbols):
@@ -476,37 +623,6 @@ def arithmetic_decode(
     _check_count(count, len(data), num_symbols, increment, max_total)
     symbols = _decode_fused(data, count, num_symbols, increment, max_total)
     return np.array(symbols, dtype=np.int64)
-
-
-def arithmetic_encode_py(
-    symbols: np.ndarray, num_symbols: int, increment: int = 32, max_total: int = 1 << 16
-) -> bytes:
-    """Per-symbol oracle for :func:`arithmetic_encode` (identical bytes)."""
-    arr = _checked_symbols(symbols, num_symbols)
-    model = AdaptiveModel(num_symbols, increment=increment, max_total=max_total)
-    encoder = ArithmeticEncoder()
-    encode_one = encoder.encode_symbol
-    for symbol in arr.tolist():
-        encode_one(model, symbol)
-    return encoder.finish()
-
-
-def arithmetic_decode_py(
-    data: bytes,
-    count: int,
-    num_symbols: int,
-    increment: int = 32,
-    max_total: int = 1 << 16,
-) -> np.ndarray:
-    """Per-symbol oracle for :func:`arithmetic_decode`."""
-    model = AdaptiveModel(num_symbols, increment=increment, max_total=max_total)
-    _check_count(count, len(data), num_symbols, increment, max_total)
-    decoder = ArithmeticDecoder(data)
-    decode_one = decoder.decode_symbol
-    out = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        out[i] = decode_one(model)
-    return out
 
 
 # -- integer sequences -----------------------------------------------------------
@@ -581,50 +697,5 @@ def decode_int_sequence(data: bytes, checksum: bool = True) -> np.ndarray:
     raw = _decode_fused(data[pos:], count, *_BYTE_MODEL, stop_mask=0x80)
     values = decode_varints(raw, count, signed=True)
     if checksum and _int_sequence_checksum(sum(raw), len(raw)) != expected:
-        raise ValueError("truncated or corrupt int sequence (checksum mismatch)")
-    return values
-
-
-def encode_int_sequence_py(values: np.ndarray) -> bytes:
-    """Per-symbol oracle for :func:`encode_int_sequence` (identical bytes)."""
-    header, byte_stream = _int_sequence_parts(values)
-    if not byte_stream:
-        return header
-    return header + arithmetic_encode_py(
-        np.frombuffer(byte_stream, dtype=np.uint8), *_BYTE_MODEL
-    )
-
-
-def decode_int_sequence_py(data: bytes, checksum: bool = True) -> np.ndarray:
-    """Per-symbol oracle for :func:`decode_int_sequence`."""
-    count, expected, pos = _int_sequence_header(data, checksum)
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
-    model = AdaptiveModel(*_BYTE_MODEL)
-    decoder = ArithmeticDecoder(data[pos:])
-    values = np.empty(count, dtype=np.int64)
-    done = 0
-    current = 0
-    shift = 0
-    byte_sum = 0
-    n_bytes = 0
-    while done < count:
-        byte = decoder.decode_symbol(model)
-        byte_sum += byte
-        n_bytes += 1
-        current |= (byte & 0x7F) << shift
-        if byte & 0x80:
-            shift += 7
-            if shift > 63:
-                raise ValueError("corrupt varint in arithmetic stream")
-        else:
-            if current >> 64:
-                raise ValueError("corrupt varint in arithmetic stream")
-            # zigzag decode
-            values[done] = (current >> 1) ^ -(current & 1)
-            done += 1
-            current = 0
-            shift = 0
-    if checksum and _int_sequence_checksum(byte_sum, n_bytes) != expected:
         raise ValueError("truncated or corrupt int sequence (checksum mismatch)")
     return values

@@ -1,10 +1,10 @@
 """Fused arithmetic-coding kernels vs their per-symbol ``*_py`` oracles.
 
 The whole-stream coder functions run one fused loop per stream; the
-original per-symbol implementations stay as oracles.  These tests pin the
-contract: identical bytes on encode, and on decode the oracle's array or
-the oracle's exception type -- for valid payloads and for mutated or
-truncated ones -- within a time bound.
+original per-symbol implementations are the oracles (``tests/oracles.py``).
+These tests pin the contract: identical bytes on encode, and on decode the
+oracle's array or the oracle's exception type -- for valid payloads and
+for mutated or truncated ones -- within a time bound.
 """
 
 import time
@@ -18,15 +18,17 @@ from repro.entropy.arithmetic import (
     ArithmeticEncoder,
     AdaptiveModel,
     arithmetic_decode,
-    arithmetic_decode_py,
     arithmetic_encode,
-    arithmetic_encode_py,
     decode_int_sequence,
-    decode_int_sequence_py,
     encode_int_sequence,
-    encode_int_sequence_py,
 )
 from repro.entropy.varint import decode_uvarint, encode_uvarint
+from tests.oracles import (
+    arithmetic_decode_py,
+    arithmetic_encode_py,
+    decode_int_sequence_py,
+    encode_int_sequence_py,
+)
 
 ALPHABETS = [1, 2, 3, 4, 15, 16, 17, 255, 256, 300]
 INT64_MIN = np.iinfo(np.int64).min

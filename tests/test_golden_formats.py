@@ -1,13 +1,16 @@
-"""Golden-payload compatibility tests for container formats v1 and v2.
+"""Golden-payload compatibility tests for container formats v1, v2 and v3.
 
 ``tests/golden/`` holds committed payloads produced by the v1 (seed) and
 v2 encoders on a deterministic analytic scene, plus the exact decoder
-output at the time they were recorded.  These pin two promises:
+output at the time they were recorded.  The v3 golden is a temporal
+drive over the same scene: the v2 frame as its keyframe, then four delta
+frames (``v3_drive_K.dbgc``) of the scene shifted by a fixed ego step,
+so occupancy models persist across deltas.  These pin two promises:
 
 * **Decoder compatibility** — today's decoder reads old payloads
   bit-identically; a v3-capable reader changes nothing about v1/v2.
 * **Encoder stability** — re-encoding the same input with default
-  parameters reproduces the committed v2 payload byte-for-byte, so a
+  parameters reproduces the committed payloads byte-for-byte, so a
   format change can never slip in silently.
 
 The original cloud is regenerated analytically (not loaded) so the test
@@ -20,12 +23,18 @@ import numpy as np
 import pytest
 
 from repro.core import DBGCDecompressor, DBGCParams
+from repro.core.container import unpack_container
 from repro.core.pipeline import DBGCCompressor
-from repro.core.temporal import TemporalDecoder
+from repro.core.temporal import MODE_DELTA, TemporalContext, TemporalDecoder
 from repro.datasets import SensorModel
 from repro.geometry import PointCloud
 
 GOLDEN = Path(__file__).parent / "golden"
+
+#: Sensor translation per frame of the v3 golden drive (meters).
+EGO_STEP = (0.35, 0.05, 0.0)
+#: Delta frames recorded after the keyframe.
+V3_DELTAS = 4
 
 
 def golden_cloud() -> tuple[np.ndarray, np.ndarray]:
@@ -109,3 +118,51 @@ class TestGoldenEncode:
             PointCloud(xyz), attributes={"intensity": intensity}
         )
         assert blob == (GOLDEN / "v2_frame.dbgc").read_bytes()
+
+
+def golden_drive():
+    """``(clouds, ego deltas)`` of the v3 golden drive: the golden scene
+    seen from a sensor moving by :data:`EGO_STEP` each frame."""
+    xyz, _ = golden_cloud()
+    step = np.asarray(EGO_STEP)
+    clouds = [PointCloud(xyz - k * step) for k in range(V3_DELTAS + 1)]
+    return clouds, [(0.0, 0.0, 0.0)] + [EGO_STEP] * V3_DELTAS
+
+
+def _v3_blobs() -> list[bytes]:
+    return [(GOLDEN / "v2_frame.dbgc").read_bytes()] + [
+        (GOLDEN / f"v3_drive_{k}.dbgc").read_bytes() for k in range(1, V3_DELTAS + 1)
+    ]
+
+
+class TestGoldenTemporal:
+    def test_deltas_are_v3_with_delta_dense(self):
+        for blob in _v3_blobs()[1:]:
+            assert blob[4] == 3
+            _header, dense, *_ = unpack_container(blob)
+            assert dense[0] == MODE_DELTA
+
+    def test_decodes_bit_identically(self):
+        expected = np.load(GOLDEN / "v3_drive_expected.npz")
+        decoder = TemporalDecoder()
+        for k, blob in enumerate(_v3_blobs()):
+            cloud, attrs = decoder.decode_with_attributes(blob)
+            if k:
+                assert np.array_equal(cloud.xyz, expected[f"decoded_{k}"])
+                assert np.array_equal(attrs["intensity"], expected[f"intensity_{k}"])
+
+    def test_reencode_is_byte_stable(self):
+        _, intensity = golden_cloud()
+        compressor = DBGCCompressor(
+            DBGCParams(temporal=True),
+            sensor=SensorModel.benchmark_default().scaled(0.5),
+        )
+        context = TemporalContext()
+        clouds, egos = golden_drive()
+        blobs = [
+            compressor.compress_temporal(
+                cloud, context, ego_delta=ego, attributes={"intensity": intensity}
+            ).payload
+            for cloud, ego in zip(clouds, egos)
+        ]
+        assert blobs == _v3_blobs()
