@@ -81,12 +81,6 @@ class DBGCParams:
         ``"rans"`` — the numpy-vectorized semi-static range coder (a
         multi-x speedup at near-parity ratio).  Streams are tagged, so the
         decompressor needs no configuration.
-    intra_frame_workers:
-        Worker threads for the independent stages inside one frame (dense
-        octree, the radial sparse groups, the outlier codec).  ``1``
-        (default) keeps the serial path; higher values run the stages on a
-        process-wide shared pool.  Payloads are byte-identical either way.
-        Runtime-only: not serialized into the container header.
     temporal:
         Enable inter-frame delta coding for stream compression
         (:mod:`repro.core.temporal`, format v3): non-keyframes reuse the
@@ -116,7 +110,6 @@ class DBGCParams:
     outlier_mode: str = "quadtree"
     strict_cartesian: bool = False
     entropy_backend: str = "adaptive-arith"
-    intra_frame_workers: int = 1
     temporal: bool = False
     keyframe_interval: int = 8
 
@@ -143,10 +136,6 @@ class DBGCParams:
             raise ValueError(
                 f"unknown entropy_backend {self.entropy_backend!r}; "
                 f"available: {', '.join(available_backends())}"
-            )
-        if self.intra_frame_workers < 1:
-            raise ValueError(
-                f"intra_frame_workers must be >= 1, got {self.intra_frame_workers}"
             )
         if self.keyframe_interval < 1:
             raise ValueError(

@@ -15,8 +15,6 @@ permutation, recomputable at compression time without costing stream bits.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,28 +36,6 @@ from repro.geometry.points import PointCloud
 from repro.octree.codec import OctreeCodec
 
 __all__ = ["CompressionResult", "DBGCCompressor", "DBGCDecompressor"]
-
-# One stage pool per process, shared by every compressor (and, under
-# ParallelFrameCompressor, by every frame a worker process handles), so
-# intra-frame parallelism never multiplies thread counts per compressor.
-_STAGE_POOL: ThreadPoolExecutor | None = None
-_STAGE_POOL_WORKERS = 0
-_STAGE_POOL_LOCK = threading.Lock()
-
-
-def _stage_pool(workers: int) -> ThreadPoolExecutor:
-    """The shared intra-frame stage pool, grown (never shrunk) on demand."""
-    global _STAGE_POOL, _STAGE_POOL_WORKERS
-    with _STAGE_POOL_LOCK:
-        if _STAGE_POOL is None or _STAGE_POOL_WORKERS < workers:
-            if _STAGE_POOL is not None:
-                _STAGE_POOL.shutdown(wait=False)
-            _STAGE_POOL = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="dbgc-stage"
-            )
-            _STAGE_POOL_WORKERS = workers
-        return _STAGE_POOL
-
 
 @dataclass
 class CompressionResult:
@@ -224,50 +200,16 @@ class DBGCCompressor:
             )
             group_globals = [sparse_idx[g] for g in groups]
 
-            # The dense octree, each radial sparse group, and the outlier
-            # codec produce independent byte streams; the closures below run
-            # either inline (serial) or on the shared stage pool.  Worker
-            # threads attach to the compress root so the span tree keeps the
-            # serial shape, and the payloads are byte-identical either way —
-            # only the schedule changes.
-            def encode_dense() -> tuple[bytes, np.ndarray | None]:
-                with recorder.span("dbgc.oct"):
-                    octree = OctreeCodec(params.leaf_side, backend=params.entropy_backend)
-                    dense_payload = octree.encode(xyz[dense_idx])
-                    octree_mapping = (
-                        octree.mapping(xyz[dense_idx]) if len(dense_idx) else None
-                    )
-                return dense_payload, octree_mapping
-
-            def encode_group(group_global: np.ndarray):
-                return encode_sparse_group(
-                    xyz[group_global], params, self.u_theta, self.u_phi
+            with recorder.span("dbgc.oct"):
+                octree = OctreeCodec(params.leaf_side, backend=params.entropy_backend)
+                dense_payload = octree.encode(xyz[dense_idx])
+                octree_mapping = (
+                    octree.mapping(xyz[dense_idx]) if len(dense_idx) else None
                 )
-
-            def encode_out(outlier_xyz: np.ndarray) -> tuple[bytes, np.ndarray]:
-                with recorder.span("dbgc.out"):
-                    return encode_outliers(outlier_xyz, params)
-
-            parallel = params.intra_frame_workers > 1
-            if parallel:
-                pool = _stage_pool(
-                    min(params.intra_frame_workers, 1 + max(1, len(group_globals)))
-                )
-
-                def staged(fn, *args):
-                    def task():
-                        with recorder.attach(root):
-                            return fn(*args)
-
-                    return pool.submit(task)
-
-                dense_future = staged(encode_dense)
-                group_futures = [staged(encode_group, gg) for gg in group_globals]
-                dense_payload, octree_mapping = dense_future.result()
-                encodings = [future.result() for future in group_futures]
-            else:
-                dense_payload, octree_mapping = encode_dense()
-                encodings = [encode_group(gg) for gg in group_globals]
+            encodings = [
+                encode_sparse_group(xyz[gg], params, self.u_theta, self.u_phi)
+                for gg in group_globals
+            ]
 
             mapping = np.empty(n, dtype=np.int64)
             if octree_mapping is not None:
@@ -285,9 +227,6 @@ class DBGCCompressor:
                 if outlier_global
                 else np.empty(0, dtype=np.int64)
             )
-            # Kick off the outlier stage before the mapping bookkeeping so
-            # it overlaps with the scatter updates below.
-            out_future = staged(encode_out, xyz[outliers]) if parallel else None
 
             group_payloads: list[bytes] = []
             offset = len(dense_idx)
@@ -304,9 +243,8 @@ class DBGCCompressor:
             recorder.add_bytes("stream.sparse", sizes["sparse"])
             recorder.count("compress.points_sparse", n_sparse_coded)
 
-            outlier_payload, outlier_mapping = (
-                out_future.result() if out_future is not None else encode_out(xyz[outliers])
-            )
+            with recorder.span("dbgc.out"):
+                outlier_payload, outlier_mapping = encode_outliers(xyz[outliers], params)
             if len(outliers):
                 mapping[outliers] = offset + outlier_mapping
             sizes["outlier"] = len(outlier_payload)

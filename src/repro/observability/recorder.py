@@ -176,19 +176,6 @@ class Recorder:
         """A new span; use as a context manager."""
         return Span(name, self)
 
-    def attach(self, parent: Span) -> "_Attach":
-        """Adopt ``parent`` as the current thread's span-stack base.
-
-        For worker threads running stages on behalf of another thread's
-        open span (the intra-frame stage pool): inside the ``with`` block
-        this recorder becomes the thread's ambient recorder and new spans
-        become children of ``parent``, so a parallel frame produces the
-        same span-tree shape as a serial one.  ``parent.children`` is
-        appended from multiple threads, which is safe under the GIL; child
-        order across stages is unspecified, durations and totals are not.
-        """
-        return _Attach(self, parent)
-
     def count(self, name: str, value: int = 1) -> None:
         """Add ``value`` to the named counter."""
         with self._lock:
@@ -235,29 +222,6 @@ class Recorder:
                 for name, value in self.counters.items()
                 if name.startswith("bytes.")
             }
-
-
-class _Attach:
-    """Context manager backing :meth:`Recorder.attach`."""
-
-    __slots__ = ("_recorder", "_parent", "_prev_scoped", "_prev_stack")
-
-    def __init__(self, recorder: Recorder, parent: Span) -> None:
-        self._recorder = recorder
-        self._parent = parent
-        self._prev_scoped: Recorder | None = None
-        self._prev_stack: list | None = None
-
-    def __enter__(self) -> Recorder:
-        self._prev_scoped = getattr(_SCOPED, "recorder", None)
-        _SCOPED.recorder = self._recorder
-        self._prev_stack = getattr(self._recorder._stacks, "stack", None)
-        self._recorder._stacks.stack = [self._parent]
-        return self._recorder
-
-    def __exit__(self, *exc_info) -> None:
-        self._recorder._stacks.stack = self._prev_stack
-        _SCOPED.recorder = self._prev_scoped
 
 
 # -- ambient dispatch -------------------------------------------------------

@@ -16,7 +16,6 @@ submissions round-robin across the slots instead of using sticky keys.
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -69,11 +68,6 @@ class ParallelFrameCompressor:
     the generator, ``break`` plus garbage collection, an exception)
     cancels every not-yet-running frame, so a dropped iterator does not
     leave workers grinding on payloads nobody will read.
-
-    When ``params.intra_frame_workers > 1`` the two levels compose: each
-    worker process also parallelizes the stages inside its frame, with the
-    per-process thread count capped at ``cpu_count // workers`` so the
-    total never oversubscribes the machine.
     """
 
     def __init__(
@@ -84,17 +78,7 @@ class ParallelFrameCompressor:
     ) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
-        params = params if params is not None else DBGCParams()
-        # Compose the two parallelism levels without oversubscribing: with
-        # N frame processes, each worker's intra-frame stage pool gets at
-        # most cpu_count // N threads.  Each process lazily builds its own
-        # stage pool, so the knob composes instead of multiplying.
-        if params.intra_frame_workers > 1:
-            per_worker = max(1, (os.cpu_count() or 1) // workers)
-            params = params.with_updates(
-                intra_frame_workers=min(params.intra_frame_workers, per_worker)
-            )
-        self.params = params
+        self.params = params if params is not None else DBGCParams()
         self.sensor = sensor if sensor is not None else SensorModel.benchmark_default()
         self.workers = workers
         self._pool: StickyWorkerPool | None = None

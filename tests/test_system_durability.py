@@ -15,10 +15,14 @@ from __future__ import annotations
 import os
 import socket
 import sqlite3
+import subprocess
+import sys
 import threading
+import zlib
 
 import pytest
 
+import repro
 from repro.geometry import PointCloud
 from repro.system import (
     DbgcClient,
@@ -243,38 +247,79 @@ def test_file_store_recover_rolls_back_torn_writes(tmp_path):
     assert not (tmp_path / "frame_000003.crc").exists()
     # The committed frame survived, sidecar intact.
     assert reopened.frame_indices() == [1]
-    import zlib
-
     assert reopened.payload_crc(1) == zlib.crc32(b"\x01" * 32)
 
 
-def test_sqlite_recover_replays_committed_and_rolls_back_torn(tmp_path):
-    import zlib
+# A writer killed mid-transaction: with a tiny page cache the uncommitted
+# row spills into the database file, so the crash leaves a hot rollback
+# journal that the next open must undo.
+_KILLED_WRITER = """
+import os, sys
+from repro.system import SqliteFrameStore
+store = SqliteFrameStore(sys.argv[1])
+store._conn.execute("PRAGMA cache_size = 4")
+store._conn.execute(
+    "INSERT OR REPLACE INTO frames VALUES (?, ?, ?, ?, ?)",
+    (3, "payload", 0, b"\\x33" * 262144, 0),
+)
+os._exit(17)
+"""
 
+
+def test_sqlite_killed_writer_leaves_old_state(tmp_path):
     db = tmp_path / "frames.sqlite"
-    payload = b"\x42" * 64
+    payloads = {1: b"\x01" * 64, 2: b"\x02" * 4096}
     with SqliteFrameStore(db) as store:
-        store.put_payload(5, payload)
-    # Craft the two crash shapes by hand: an intent whose frame row
-    # landed (only the clearance was lost) and an intent whose write
-    # never committed.
+        for index, payload in payloads.items():
+            store.put_payload(index, payload)
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    killed = subprocess.run(
+        [sys.executable, "-c", _KILLED_WRITER, str(db)], env=env, capture_output=True
+    )
+    assert killed.returncode == 17, killed.stderr.decode()
+    assert (tmp_path / "frames.sqlite-journal").exists()
+    with SqliteFrameStore(db) as reopened:
+        assert reopened.last_recovery.clean
+        assert reopened.frame_indices() == [1, 2]
+        for index, payload in payloads.items():
+            assert reopened.get_payload(index) == payload
+            assert reopened.payload_crc(index) == zlib.crc32(payload)
+
+
+def test_sqlite_legacy_intent_table_is_dropped_on_open(tmp_path):
+    db = tmp_path / "frames.sqlite"
+    payloads = {5: b"\x42" * 64, 6: b"\x43" * 128}
+    # The schema older versions wrote: frames plus a write-ahead intent
+    # table, here holding one completed and one torn leftover intent.
     conn = sqlite3.connect(db)
     conn.execute(
-        "INSERT INTO journal VALUES (?, ?, ?)", (5, "payload", zlib.crc32(payload))
+        "CREATE TABLE frames (frame_index INTEGER PRIMARY KEY, kind TEXT NOT NULL,"
+        " n_points INTEGER NOT NULL, data BLOB NOT NULL, crc32 INTEGER)"
     )
-    conn.execute("INSERT INTO journal VALUES (?, ?, ?)", (9, "payload", 12345))
+    conn.execute(
+        "CREATE TABLE journal (frame_index INTEGER PRIMARY KEY, kind TEXT NOT NULL,"
+        " crc32 INTEGER NOT NULL)"
+    )
+    for index, payload in payloads.items():
+        conn.execute(
+            "INSERT INTO frames VALUES (?, 'payload', 0, ?, ?)",
+            (index, payload, zlib.crc32(payload)),
+        )
+    conn.execute("INSERT INTO journal VALUES (5, 'payload', ?)", (zlib.crc32(payloads[5]),))
+    conn.execute("INSERT INTO journal VALUES (9, 'payload', 12345)")
     conn.commit()
     conn.close()
-    reopened = SqliteFrameStore(db)
-    report = reopened.last_recovery
-    assert report.replayed == 1 and report.rolled_back == 1
-    assert reopened.frame_indices() == [5]
-    assert reopened.get_payload(5) == payload
-    # The journal table is clear again.
+    with SqliteFrameStore(db) as store:
+        assert store.last_recovery.clean
+        assert store.frame_indices() == [5, 6]
+        for index, payload in payloads.items():
+            assert store.get_payload(index) == payload
+            assert store.payload_crc(index) == zlib.crc32(payload)
     conn = sqlite3.connect(db)
-    assert conn.execute("SELECT COUNT(*) FROM journal").fetchone()[0] == 0
+    tables = {row[0] for row in conn.execute("SELECT name FROM sqlite_master")}
     conn.close()
-    reopened.close()
+    assert "journal" not in tables
 
 
 def test_sqlite_cross_kind_conflict_under_threads():
