@@ -36,15 +36,15 @@ answer by slowing down or coarsening.
 :class:`~repro.system.faults.ServerKillSwitch` injects the process fault
 deterministically for the kill-and-restart drills.
 
-The decode offload tier (``DbgcServer(decode_workers=N)``) moves
-``decompress``-mode decoding off the GIL-bound handler threads onto a
-:class:`~repro.system.pool.StickyWorkerPool` of decoder worker
-processes with per-stream affinity: each worker owns its streams'
+The decode offload tier (``DbgcServer(decode_workers=N)``) moves the
+decode step of the server's one ingest path off the GIL-bound handler
+threads onto a :class:`~repro.system.pool.StickyWorkerPool` of decoder
+worker processes with per-chain affinity: each worker owns its chains'
 stateful temporal decoders, frames decode in arrival order, and decoded
 clouds return through pickle-protocol-5 out-of-band buffers — so
 decompress-mode fleet throughput scales with cores while every ingest
 contract (ACK after commit, journaling, quarantine, dedupe, byte-
-identical store contents) stays exactly the inline path's.
+identical store contents) stays the in-process path's.
 
 The pipelined transport (protocol v2.2, ``DbgcClient(window=W)``)
 overlaps send, decode, and commit *within* a stream: a selective-repeat

@@ -17,16 +17,17 @@ byte), this server is built for a lossy uplink *and* a fleet of sensors:
   poison each other's dedupe or ACK accounting;
 - a corrupt or undecodable payload is *quarantined* — recorded with its
   bytes and exception — and serving continues;
-- in ``decompress`` mode each stream decodes through its own stateful
-  :class:`~repro.core.temporal.TemporalDecoder`, so temporal streams
-  (format v3 delta frames between keyframes) decode transparently and
-  two streams' predictor states can never mix; a delta frame whose
-  predictor is missing or mismatched (e.g. the server restarted and
-  lost the in-memory state, or its predecessor was quarantined) raises
-  and is quarantined like any undecodable payload — the stream heals at
-  its next keyframe, which re-seeds the predictor;
+- in ``decompress`` mode each stream decodes through a stateful
+  :class:`~repro.core.temporal.TemporalDecoder` per decode chain (a
+  keyframe and the delta frames that follow it), so temporal
+  streams (format v3 delta frames between keyframes) decode
+  transparently and two streams' predictor states can never mix; a
+  delta frame whose predictor is missing or mismatched (e.g. the server
+  restarted and lost the in-memory state, or its predecessor was
+  quarantined) raises and is quarantined like any undecodable payload —
+  the stream heals at its next keyframe, which starts a new chain;
 - retransmitted frames are deduplicated per stream, making client
-  retries idempotent;
+  retries idempotent; DUPLICATE only ever answers a committed frame;
 - every frame is acknowledged, so the client can detect loss;
 - an END record closes *that client's session* (acknowledged at
   :data:`~repro.system.protocol.END_ACK_INDEX`); the accept loop keeps
@@ -64,6 +65,7 @@ from repro.system.protocol import (
     TYPE_HELLO,
     CorruptPayloadError,
     ProtocolError,
+    Record,
     encode_record,
     read_record,
     recv_exact,
@@ -99,51 +101,71 @@ class RemoteDecodeError(ValueError):
         return self.args[0]
 
 
-# -- decode workers (run in decoder worker processes) ------------------
+# -- decode chains ----------------------------------------------------
 #
-# Module-level worker state, seeded by the pool initializer: each worker
-# process owns the stateful TemporalDecoder of every *decode chain*
-# pinned to its slot.  A chain is one keyframe and the delta frames that
-# follow it — the temporal context resets at every keyframe, so chains
-# are self-contained.  Sticky routing (StickyWorkerPool) keys work by
-# ``(stream_id, chain_no)``: within a chain, frames land on one worker
-# in arrival order (the delta-ordering contract), while *different*
-# chains of the same stream spread least-loaded across workers — which
-# is what lets a single stream's decode throughput scale with
-# ``decode_workers`` once the client pipelines (window > 1).
+# A decode chain is one keyframe and the delta frames that follow it —
+# the temporal context resets at every keyframe, so chains are
+# self-contained.  Frames are numbered into their stream's chains on
+# arrival (``StreamState.chain_no``), and a decoder table maps each
+# stream id to its current chain's stateful TemporalDecoder (bounded
+# state: one live decoder per stream, the previous chain's is dropped).
+# With ``decode_workers=0`` the table belongs to the server instance and
+# decodes run on the handler thread.  With a decode pool each worker
+# process owns the table of the chains pinned to its slot: sticky
+# routing keys work by ``(stream_id, chain_no)``, so within a chain
+# frames land on one worker in arrival order (the delta-ordering
+# contract), while *different* chains of the same stream spread
+# least-loaded across workers — which is what lets a single stream's
+# decode throughput scale with ``decode_workers`` once the client
+# pipelines (window > 1).
 
 _WORKER_DECODERS: dict[int | str, tuple[int, TemporalDecoder]] = {}
 
 
-def _init_decode_worker() -> None:
-    _WORKER_DECODERS.clear()
+def _decode_on_chain(
+    decoders: dict[int | str, tuple[int, TemporalDecoder]],
+    stream_id: int | str,
+    chain_no: int,
+    payload: bytes,
+) -> PointCloud:
+    """Decode one frame with its chain's decoder from ``decoders``.
+
+    The chain's first frame finds no decoder for its number and starts
+    a fresh one.  Raises whatever the decoder raises.
+    """
+    entry = decoders.get(stream_id)
+    if entry is None or entry[0] != chain_no:
+        entry = decoders[stream_id] = (chain_no, TemporalDecoder())
+    return entry[1].decode(payload)
 
 
-def _decode_frame(
-    stream_id: int | str, chain_no: int, fresh: bool, payload: bytes
-) -> tuple:
-    """Decode one frame on its chain's worker; never raises.
+def _decode_in_worker(stream_id: int | str, chain_no: int, payload: bytes) -> tuple:
+    """:func:`_decode_on_chain` in a decoder worker process; never raises.
 
-    ``fresh`` marks the chain's first frame: the worker starts a new
-    :class:`TemporalDecoder` for it (bounded state: one live decoder per
-    stream per worker, the previous chain's is dropped).  Returns
-    ``("ok", meta, buffers)`` — a :func:`~repro.system.pool.pack_array`
-    split of the decoded ``xyz``, shipped out-of-band so the parent
-    rebuilds the cloud without copying — or ``("err", repr)`` on
+    Returns ``("ok", meta, buffers)`` — a :func:`~repro.system.pool.
+    pack_array` split of the decoded ``xyz``, shipped out-of-band so the
+    parent rebuilds the cloud without copying — or ``("err", repr)`` on
     failure, keeping unpicklable exceptions from wedging the pool.
     """
-    entry = _WORKER_DECODERS.get(stream_id)
-    if fresh or entry is None or entry[0] != chain_no:
-        decoder = TemporalDecoder()
-        _WORKER_DECODERS[stream_id] = (chain_no, decoder)
-    else:
-        decoder = entry[1]
     try:
-        cloud = decoder.decode(payload)
+        cloud = _decode_on_chain(_WORKER_DECODERS, stream_id, chain_no, payload)
     except Exception as exc:
         return ("err", repr(exc))
     meta, buffers = pack_array(cloud.xyz)
     return ("ok", meta, buffers)
+
+
+def _pool_outcome(future: Future) -> PointCloud | Exception:
+    """A pool decode's result: the decoded cloud, or the error to quarantine."""
+    try:
+        result = future.result()
+    except CancelledError:
+        # kill() cancelled the queued work mid-flight; it quarantines
+        # like any failure (the ACK goes to a torn-down socket).
+        return RemoteDecodeError("decode cancelled by server shutdown")
+    if result[0] != "ok":
+        return RemoteDecodeError(result[1])
+    return PointCloud._adopt(unpack_array(result[1], result[2]))
 
 
 @dataclass(frozen=True)
@@ -165,48 +187,44 @@ class QuarantinedFrame:
         )
 
 
-@dataclass
-class _PendingFrame:
-    """One frame riding the per-connection decode pipeline (v2.2).
-
-    Created by the handler thread the moment a frame is CRC-validated,
-    dedupe-reserved, and submitted to the decode pool; consumed by the
-    connection's completion drainer, which commits, journals, and ACKs
-    in submission order.
-    """
+@dataclass(slots=True)
+class _Frame:
+    """One dedupe-reserved frame on its way from record read to ACK."""
 
     stream: "StreamState"
     frame_index: int
     payload: bytes = field(repr=False)
     payload_crc: int | None
     received_at: float
-    submitted_at: float
-    future: Future
+    decode_started: float = 0.0
 
 
 class StreamState:
     """Per-stream ingest state, shared by all of that stream's connections.
 
-    Mutated only under the owning server's :attr:`DbgcServer.lock`.
+    Mutated only under the owning server's :attr:`DbgcServer.lock`
+    (``chain_no`` under the stream's ``decode_lock``).
     """
 
     __slots__ = (
         "stream_id",
         "seen",
+        "unsettled",
         "ack_counts",
         "receipts",
         "ended",
-        "decoder",
         "decode_lock",
         "window",
         "chain_no",
-        "pending",
     )
 
     def __init__(self, stream_id: int | str) -> None:
         self.stream_id = stream_id
-        #: Frame indices stored (or reserved mid-store) — the dedupe set.
+        #: Frame indices committed or reserved mid-ingest — the dedupe set.
         self.seen: set[int] = set()
+        #: The reserved indices not yet settled (still decoding or
+        #: committing); their count feeds the per-stream BUSY hint.
+        self.unsettled: set[int] = set()
         #: ACKs issued per index; feeds the fault channel's drop plan.
         self.ack_counts: dict[int, int] = {}
         #: This stream's slice of the server-wide receipts.
@@ -216,20 +234,13 @@ class StreamState:
         #: Sliding window the client advertised in HELLO flags (v2.2);
         #: 0 = unknown (pre-v2.2 client).
         self.window = 0
-        #: Decode-chain counter (pipelined offload routing): bumped at
-        #: every keyframe; -1 until the stream's first frame arrives.
+        #: Decode-chain counter: bumped at every keyframe; -1 until the
+        #: stream's first frame arrives.
         self.chain_no = -1
-        #: Frames submitted to the decode pipeline but not yet committed
-        #: (feeds the per-stream BUSY congestion hint).
-        self.pending = 0
-        #: Stateful per-stream decoder (decompress mode): carries the
-        #: temporal predictor between this stream's frames.  In-memory
-        #: only — a restarted server starts blank, so delta frames are
-        #: quarantined until the stream's next keyframe re-seeds it.
-        self.decoder = TemporalDecoder()
-        #: Serializes decodes of this stream: the decoder's predictor
-        #: state makes decode order-sensitive, so a reconnect racing the
-        #: old connection must not interleave.
+        #: Serializes chain numbering with the decode (or the pool
+        #: submission) of this stream's frames: predictor state makes
+        #: decode order-sensitive, so a reconnect racing the old
+        #: connection must not interleave.
         self.decode_lock = threading.Lock()
 
 
@@ -288,21 +299,18 @@ class DbgcServer:
         default (4096) is far above any one batch a client reconciles
         with ``merge_receipts``.
     decode_workers:
-        Size of the decode offload tier (``decompress`` mode only;
-        rejected in ``store`` mode).  0 (default) decodes inline on the
-        handler thread.  N >= 1 fans decoding out to N decoder worker
-        *processes* behind a :class:`~repro.system.pool.
-        StickyWorkerPool`: the handler thread CRC-validates, dedupes,
-        and submits decodes *as frames arrive* (v2.2 pipelined ingest),
-        keyed by decode chain — a keyframe and its following deltas pin
-        to one worker's stateful :class:`~repro.core.temporal.
-        TemporalDecoder` in arrival order, while successive chains
-        spread least-loaded across workers; a per-connection completion
-        drainer then commits each decoded cloud to the store, journals,
-        and ACKs in submission order — so every ordering contract (ACK
+        Where ``decompress``-mode frames decode (rejected in ``store``
+        mode).  0 (default) decodes in-process on the handler thread.
+        N >= 1 fans decoding out to N decoder worker *processes* behind
+        a :class:`~repro.system.pool.StickyWorkerPool`: the handler
+        thread CRC-validates, dedupes and submits decodes *as frames
+        arrive* (v2.2 pipelined ingest), keyed by decode chain, and a
+        per-connection drainer settles each frame in submission order
+        when its result arrives.  Either way a frame takes the same
+        reserve → decode → settle path, so every ordering contract (ACK
         after commit, journal between commit and ACK, quarantine with
-        the ``seen`` reservation released) is identical to the inline
-        path, and store contents are byte-identical.
+        the ``seen`` reservation released) and the stored bytes are the
+        same.
 
     Thread-safety: handler threads append to :attr:`receipts`,
     :attr:`quarantine`, and :attr:`events` while the driver may read
@@ -369,6 +377,9 @@ class DbgcServer:
         #: events, connection counters) against the handler threads.
         self.lock = threading.Lock()
         self._cond = threading.Condition(self.lock)
+        #: Signalled whenever a reserved frame settles (and on shutdown):
+        #: a retransmission of an unsettled frame waits on it.
+        self._settled = threading.Condition(self.lock)
         self._streams: dict[int | str, StreamState] = {}
         self._conns: set[socket.socket] = set()
         self._active = 0
@@ -402,7 +413,7 @@ class DbgcServer:
             if isinstance(receipt_journal, (str, Path)):
                 # Batched appends keep the journal's write(2) off the ACK
                 # hot path (one syscall per 16 receipts).  The widened
-                # kill-loss window is safe here — see _ingest.
+                # kill-loss window is safe here — see _record_stored.
                 self.journal = ReceiptJournal(
                     receipt_journal, batch=16, rotate_bytes=journal_rotate_bytes
                 )
@@ -410,16 +421,17 @@ class DbgcServer:
             else:
                 self.journal = receipt_journal
             self._recover_streams()
+        #: In-process decoder table (decode_workers=0): this server's
+        #: own, so a killed server and its restart never share state.
+        self._decoders: dict[int | str, tuple[int, TemporalDecoder]] = {}
         #: Decode offload tier: one sticky slot per decoder worker; None
-        #: in store mode or with decode_workers=0 (inline decode).  The
-        #: in-flight window bounds the decode work queue; its depth
-        #: feeds the BUSY hint alongside the store-latency EWMA.
+        #: in store mode or with decode_workers=0.  The in-flight window
+        #: bounds the decode work queue; its depth feeds the BUSY hint
+        #: alongside the store-latency EWMA.
         self._decode_pool: StickyWorkerPool | None = None
-        if self.mode == "decompress" and self.decode_workers > 0:
+        if self.decode_workers > 0:
             self._decode_pool = StickyWorkerPool(
-                self.decode_workers,
-                initializer=_init_decode_worker,
-                max_in_flight=4 * self.decode_workers,
+                self.decode_workers, max_in_flight=4 * self.decode_workers
             )
 
     def _recover_streams(self) -> None:
@@ -570,40 +582,33 @@ class DbgcServer:
     def _handle_connection(self, conn: socket.socket, number: int) -> None:
         """Serve one connection until its stream ends or the link drops.
 
-        With a decode pool (v2.2 pipelined ingest), the handler thread
-        no longer blocks per frame: it CRC-validates, dedupe-reserves,
-        and *submits* each decode, while a per-connection completion
-        drainer thread commits/journals/ACKs in submission order.  A
-        shared send lock serializes the drainer's frame ACKs with the
-        handler's own DUPLICATE / CRC-quarantine ACKs on the one socket.
+        Frames settle on this handler thread, except with a decode pool
+        (v2.2 pipelined ingest): then the handler submits each decode
+        and a per-connection drainer thread settles the frames in
+        submission order as their results arrive.  The send lock
+        serializes the drainer's ACKs with the handler's own DUPLICATE /
+        CRC-quarantine ACKs on the one socket.
         """
         stream: StreamState | None = None
         send_lock = threading.Lock()
         pipeline: queue.Queue | None = None
         drainer: threading.Thread | None = None
+        if self._decode_pool is not None:
+            pipeline = queue.Queue()
+            drainer = threading.Thread(
+                target=self._drain, args=(conn, send_lock, pipeline), daemon=True
+            )
+            drainer.start()
 
-        def ensure_pipeline() -> queue.Queue:
-            nonlocal pipeline, drainer
-            if pipeline is None:
-                pipeline = queue.Queue()
-                drainer = threading.Thread(
-                    target=self._drain_pipeline,
-                    args=(conn, send_lock, pipeline),
-                    daemon=True,
-                )
-                drainer.start()
-            return pipeline
-
-        def stop_pipeline() -> None:
-            # Drain every submitted frame (commit + ACK), then park the
-            # drainer.  Called before the END ACK so end-of-stream is
-            # still the last thing the client hears, and on any exit so
-            # no pending commit is orphaned by a disconnect.
-            nonlocal pipeline, drainer
-            if pipeline is not None:
+        def drain_pipeline() -> None:
+            # Settle every submitted frame, then park the drainer.
+            # Called before the END ACK so end-of-stream is still the
+            # last thing the client hears, and on any exit so no pending
+            # commit is orphaned by a disconnect.
+            nonlocal drainer
+            if drainer is not None:
                 pipeline.put(None)
                 drainer.join()
-                pipeline = None
                 drainer = None
 
         try:
@@ -617,7 +622,7 @@ class DbgcServer:
                     self._quarantine(
                         stream, exc.frame_index, exc.payload, exc, received_at
                     )
-                    self._ack(conn, stream, exc.frame_index, ACK_QUARANTINED, send_lock)
+                    self._ack(conn, send_lock, stream, exc.frame_index, ACK_QUARANTINED)
                     continue
                 except (ConnectionError, TimeoutError, ProtocolError, OSError) as exc:
                     self._note("disconnect", repr(exc))
@@ -644,7 +649,7 @@ class DbgcServer:
                     # scoped to this connection (no dedupe across reconnects).
                     stream = self._stream(f"conn-{number}")
                 if record.type == TYPE_END:
-                    stop_pipeline()
+                    drain_pipeline()
                     first_end = False
                     with self._cond:
                         if not stream.ended:
@@ -660,229 +665,170 @@ class DbgcServer:
                         # append only means the client re-ENDs after a
                         # restart, which is idempotent.
                         self.journal.append_end(stream.stream_id)
-                    self._ack(conn, stream, END_ACK_INDEX, ACK_STORED, send_lock)
+                    self._ack(conn, send_lock, stream, END_ACK_INDEX, ACK_STORED)
                     return
                 if record.type == TYPE_FRAME:
-                    if self._decode_pool is not None and self.mode == "decompress":
-                        self._ingest_pipelined(
-                            conn, send_lock, ensure_pipeline(), stream,
-                            record.frame_index, record.payload, record.payload_crc,
-                        )
-                    else:
-                        self._ingest(
-                            conn, stream, record.frame_index, record.payload,
-                            record.payload_crc, send_lock,
-                        )
+                    self._ingest(conn, send_lock, pipeline, stream, record)
                 # Anything else (stray ACK echoes) is ignored.
         finally:
-            stop_pipeline()
+            drain_pipeline()
 
     def _reserve(
         self,
         conn: socket.socket,
+        send_lock: threading.Lock,
         stream: StreamState,
         frame_index: int,
         payload: bytes,
-        send_lock: threading.Lock | None,
     ) -> bool:
-        """Dedupe-reserve one arriving frame; False = duplicate (ACKed).
+        """Dedupe-reserve one arriving frame; False = duplicate or shutdown.
 
-        The index is reserved before the store write (or decode submit)
-        so a concurrent retransmission — on another connection *or*
-        arriving behind it in this connection's pipeline — dedupes
-        against it.
+        The index is reserved before the decode and the store write, so
+        a concurrent retransmission — on another connection *or* behind
+        it in this connection's pipeline — dedupes against it.  Such a
+        retransmission waits here until the reserved frame settles:
+        DUPLICATE only answers a committed frame, and one that was
+        quarantined is ingested anew.  The wait ends unanswered on
+        :meth:`kill` / :meth:`close`.
         """
         _obs.count("server.ingress")
         _obs.add_bytes("server.ingress", len(payload))
         with self.lock:
+            while frame_index in stream.unsettled:
+                if self._stop.is_set():
+                    return False
+                self._settled.wait()
             if frame_index not in stream.seen:
                 stream.seen.add(frame_index)
+                stream.unsettled.add(frame_index)
                 return True
         # Retransmission of a frame that already made it: idempotent.
         self._note("duplicate", f"frame {frame_index}")
         _obs.count("server.duplicates")
-        self._ack(conn, stream, frame_index, ACK_DUPLICATE, send_lock)
+        self._ack(conn, send_lock, stream, frame_index, ACK_DUPLICATE)
         return False
 
     def _ingest(
         self,
         conn: socket.socket,
-        stream: StreamState,
-        frame_index: int,
-        payload: bytes,
-        payload_crc: int | None = None,
-        send_lock: threading.Lock | None = None,
-    ) -> None:
-        """Serial (store-mode or inline-decode) ingest: one frame, blocking."""
-        received_at = time.perf_counter()
-        if not self._reserve(conn, stream, frame_index, payload, send_lock):
-            return
-        cloud: PointCloud | None = None
-        if self.mode == "decompress":
-            decode_started = time.perf_counter()
-            try:
-                with stream.decode_lock:
-                    cloud = stream.decoder.decode(payload)
-            except Exception as exc:
-                # Undecodable despite an intact CRC: quarantine, keep
-                # serving — and release the dedupe reservation so a
-                # later (possibly healthy) retransmission is re-tried.
-                with self.lock:
-                    stream.seen.discard(frame_index)
-                self._quarantine(stream, frame_index, payload, exc, received_at)
-                self._ack(conn, stream, frame_index, ACK_QUARANTINED, send_lock)
-                return
-            _obs.observe("server.decode_s", time.perf_counter() - decode_started)
-        self._commit(
-            conn, stream, frame_index, payload, payload_crc, received_at, cloud,
-            send_lock,
-        )
-
-    def _ingest_pipelined(
-        self,
-        conn: socket.socket,
         send_lock: threading.Lock,
-        pipeline: queue.Queue,
+        pipeline: queue.Queue | None,
         stream: StreamState,
-        frame_index: int,
-        payload: bytes,
-        payload_crc: int | None,
+        record: Record,
     ) -> None:
-        """Pipelined (decode-pool) ingest: validate, reserve, submit — no wait.
+        """The one ingest path: reserve → decode → settle.
 
-        Decode routing is by *chain*: every keyframe (intra container)
-        starts a new ``(stream_id, chain_no)`` key, routed least-loaded,
-        while delta frames (container v3) stay on the current chain's
-        worker — so one pipelining client saturates many decode workers
-        without ever decoding a delta out of order.  A payload that
-        doesn't sniff as any container stays on the current chain too:
-        it will fail decode *there*, leaving that chain's decoder state
-        exactly as the inline path would.
+        Store-mode frames and in-process decodes settle right here, so
+        with ``decode_workers=0`` no frame crosses a thread between its
+        record read and its ACK.  With a decode pool the decode is
+        submitted instead, and the connection's drainer settles it.
+
+        Decoding is by *chain*: every keyframe (intra container) starts
+        a new ``(stream_id, chain_no)``, while delta frames (container
+        v3) stay on the current chain — so one pipelining client
+        saturates many decode workers without ever decoding a delta out
+        of order.  A payload that doesn't sniff as any container stays
+        on the current chain too and fails decode *there*.
         """
         received_at = time.perf_counter()
-        if not self._reserve(conn, stream, frame_index, payload, send_lock):
+        frame_index, payload = record.frame_index, record.payload
+        if not self._reserve(conn, send_lock, stream, frame_index, payload):
+            return
+        frame = _Frame(stream, frame_index, payload, record.payload_crc, received_at)
+        if self.mode == "store":
+            self._settle(conn, send_lock, frame, None)
             return
         pool = self._decode_pool
-        assert pool is not None
-        # Submit under the stream's decode lock: the sticky slot's queue
-        # is FIFO, so "submitted in arrival order" becomes "decoded in
-        # arrival order" even when a reconnect races the old
-        # connection's handler.
+        # Number the chain and decode (or submit) under the stream's
+        # decode lock: a sticky slot's queue is FIFO, so "submitted in
+        # arrival order" becomes "decoded in arrival order" even when a
+        # reconnect races the old connection's handler.
         with stream.decode_lock:
             try:
                 delta = container_version(payload) == 3
             except Exception:
                 delta = True  # undecodable: keep it inside the current chain
-            fresh = (not delta) or stream.chain_no < 0
-            if fresh:
+            if not delta or stream.chain_no < 0:
                 stream.chain_no += 1
             chain = (stream.stream_id, stream.chain_no)
-            depth = pool.depth()
-            submitted_at = time.perf_counter()
-            future = pool.submit(
-                _decode_frame, stream.stream_id, stream.chain_no, fresh, payload,
-                key=chain,
-            )
-        with self.lock:
-            stream.pending += 1
+            frame.decode_started = time.perf_counter()
+            if pool is None:
+                try:
+                    outcome = _decode_on_chain(self._decoders, *chain, payload)
+                except Exception as exc:
+                    outcome = exc
+            else:
+                depth = pool.depth()
+                future = pool.submit(_decode_in_worker, *chain, payload, key=chain)
+        if pool is None:
+            self._settle(conn, send_lock, frame, outcome)
+            return
         _obs.observe("server.decode.queue_depth", depth)
         _obs.count(f"server.decode.worker.{pool.slot_for(chain)}")
-        pipeline.put(
-            _PendingFrame(
-                stream, frame_index, payload, payload_crc, received_at,
-                submitted_at, future,
-            )
-        )
+        pipeline.put((frame, future))
 
-    def _drain_pipeline(
+    def _drain(
         self, conn: socket.socket, send_lock: threading.Lock, pipeline: queue.Queue
     ) -> None:
-        """Per-connection completion drainer: commit/journal/ACK in order.
+        """Per-connection drainer: settle pool decodes in submission order.
 
-        Runs on its own thread; consumes :class:`_PendingFrame` entries
-        in submission order (per chain that equals decode-completion
-        order — the sticky slots are FIFO) until the ``None`` sentinel.
+        Runs on its own thread until the ``None`` sentinel; per chain,
+        submission order equals decode-completion order (the sticky
+        slots are FIFO).
         """
         while True:
             entry = pipeline.get()
             if entry is None:
                 return
             _obs.observe("server.ack_queue_depth", pipeline.qsize())
-            try:
-                self._commit_decoded(conn, send_lock, entry)
-            finally:
-                with self.lock:
-                    entry.stream.pending -= 1
+            frame, future = entry
+            self._settle(conn, send_lock, frame, _pool_outcome(future))
 
-    def _commit_decoded(
-        self, conn: socket.socket, send_lock: threading.Lock, entry: _PendingFrame
-    ) -> None:
-        """Settle one pipelined frame once its decode future resolves."""
-        stream, frame_index = entry.stream, entry.frame_index
-        try:
-            result = entry.future.result()
-        except CancelledError:
-            # kill() cancelled the queued work mid-flight; surface it
-            # through the ordinary quarantine path (the ACK goes to a
-            # torn-down socket and is swallowed there).
-            result = None
-        if result is None or result[0] != "ok":
-            exc: Exception = (
-                RemoteDecodeError("decode cancelled by server shutdown")
-                if result is None
-                else RemoteDecodeError(result[1])
-            )
-            with self.lock:
-                stream.seen.discard(frame_index)
-            self._quarantine(stream, frame_index, entry.payload, exc, entry.received_at)
-            self._ack(conn, stream, frame_index, ACK_QUARANTINED, send_lock)
-            return
-        _obs.observe("server.decode_s", time.perf_counter() - entry.submitted_at)
-        cloud = PointCloud._adopt(unpack_array(result[1], result[2]))
-        self._commit(
-            conn, stream, frame_index, entry.payload, entry.payload_crc,
-            entry.received_at, cloud, send_lock,
-        )
-
-    def _commit(
+    def _settle(
         self,
         conn: socket.socket,
-        stream: StreamState,
-        frame_index: int,
-        payload: bytes,
-        payload_crc: int | None,
-        received_at: float,
-        cloud: PointCloud | None,
-        send_lock: threading.Lock | None,
+        send_lock: threading.Lock,
+        frame: _Frame,
+        outcome: PointCloud | Exception | None,
     ) -> None:
-        """Store-commit, receipt, journal, ACK — in exactly that order."""
-        with self.lock:
-            self._writes_in_flight += 1
-        write_started = time.perf_counter()
+        """Quarantine, or commit → receipt → journal; release; then ACK.
+
+        ``outcome`` is the decoded cloud, the decode error, or ``None``
+        in store mode (the payload itself is stored).  A frame that was
+        undecodable despite an intact CRC, or that the store refused, is
+        quarantined; either way serving continues.  The frame's
+        reservation is released before its ACK — kept in ``seen`` only
+        if committed, so a later (possibly healthy) retransmission of a
+        quarantined frame is re-tried — and waiting retransmissions are
+        woken.
+        """
+        stream, frame_index, payload = frame.stream, frame.frame_index, frame.payload
+        committed = False
         try:
-            if cloud is not None:
-                self.store.put_cloud(frame_index, cloud)
-            else:
-                self.store.put_payload(frame_index, payload)
-        except Exception as exc:
-            # Store refused the frame: quarantine, keep serving.
-            with self.lock:
-                stream.seen.discard(frame_index)
-            self._quarantine(stream, frame_index, payload, exc, received_at)
-            self._ack(conn, stream, frame_index, ACK_QUARANTINED, send_lock)
-            return
-        finally:
-            elapsed = time.perf_counter() - write_started
-            with self.lock:
-                self._writes_in_flight -= 1
-                self._store_ewma_s = (
-                    elapsed
-                    if self._store_ewma_s == 0.0
-                    else (1.0 - _STORE_EWMA_ALPHA) * self._store_ewma_s
-                    + _STORE_EWMA_ALPHA * elapsed
+            if isinstance(outcome, PointCloud):
+                _obs.observe(
+                    "server.decode_s", time.perf_counter() - frame.decode_started
                 )
-            _obs.observe("server.store_write_s", elapsed)
-        receipt = (frame_index, len(payload), received_at, time.perf_counter())
+            if not isinstance(outcome, Exception):
+                outcome = self._commit(frame_index, payload, outcome)
+            if outcome is not None:
+                self._quarantine(stream, frame_index, payload, outcome, frame.received_at)
+            else:
+                committed = True
+                self._record_stored(frame)
+        finally:
+            with self.lock:
+                stream.unsettled.discard(frame_index)
+                if not committed:
+                    stream.seen.discard(frame_index)
+                self._settled.notify_all()
+        status = ACK_STORED if committed else ACK_QUARANTINED
+        self._ack(conn, send_lock, stream, frame_index, status)
+
+    def _record_stored(self, frame: _Frame) -> None:
+        """Receipt and journal entry of a committed frame."""
+        stream, frame_index = frame.stream, frame.frame_index
+        receipt = (frame_index, len(frame.payload), frame.received_at, time.perf_counter())
         evicted = 0
         with self.lock:
             stream.receipts.append(receipt)
@@ -904,15 +850,45 @@ class DbgcServer:
             # keep this off the syscall path (~one write per 16 frames),
             # and doing it *before* the ACK runs it while the client is
             # still blocked awaiting the ACK, so it never preempts the
-            # client's next send.  A kill can still drop up to one
-            # batch of un-drained receipts; that loses nothing the
-            # client can observe — a retransmission of such a frame is
-            # re-committed idempotently (same index, same payload)
-            # instead of being answered DUPLICATE.
+            # client's next send.  A kill can still drop up to one batch
+            # of un-drained receipts; that loses nothing the client can
+            # observe — a retransmission of such a frame is re-committed
+            # idempotently (same index, same payload) instead of being
+            # answered DUPLICATE.
+            payload_crc = frame.payload_crc
             if payload_crc is None:
-                payload_crc = zlib.crc32(payload)
+                payload_crc = zlib.crc32(frame.payload)
             self.journal.append_frame(stream.stream_id, frame_index, payload_crc)
-        self._ack(conn, stream, frame_index, ACK_STORED, send_lock)
+
+    def _commit(
+        self, frame_index: int, payload: bytes, cloud: PointCloud | None
+    ) -> Exception | None:
+        """Store-commit one frame (its cloud, else its payload).
+
+        Returns the store's exception if it refused the frame.
+        """
+        with self.lock:
+            self._writes_in_flight += 1
+        write_started = time.perf_counter()
+        try:
+            if cloud is not None:
+                self.store.put_cloud(frame_index, cloud)
+            else:
+                self.store.put_payload(frame_index, payload)
+        except Exception as exc:
+            return exc
+        finally:
+            elapsed = time.perf_counter() - write_started
+            with self.lock:
+                self._writes_in_flight -= 1
+                self._store_ewma_s = (
+                    elapsed
+                    if self._store_ewma_s == 0.0
+                    else (1.0 - _STORE_EWMA_ALPHA) * self._store_ewma_s
+                    + _STORE_EWMA_ALPHA * elapsed
+                )
+            _obs.observe("server.store_write_s", elapsed)
+        return None
 
     def _quarantine(
         self,
@@ -951,18 +927,15 @@ class DbgcServer:
         Trips on the store-latency EWMA, on ``busy_depth`` store writes
         in flight, or — with a decode offload tier — on ``busy_depth``
         frames deep in the decode work queue.  With a pipelined stream
-        (v2.2) it additionally trips when that stream's uncommitted
+        (v2.2) it additionally trips when that stream's unsettled
         in-flight count exceeds its advertised window — the per-stream
         congestion signal the client's AIMD halves on — independent of
         ``busy_threshold_s``.
         """
-        if (
-            stream is not None
-            and self._decode_pool is not None
-        ):
+        if stream is not None and self._decode_pool is not None:
             cap = stream.window or _DEFAULT_STREAM_INFLIGHT
             with self.lock:
-                if stream.pending > cap:
+                if len(stream.unsettled) > cap:
                     return True
         if self.busy_threshold_s is None:
             return False
@@ -983,10 +956,10 @@ class DbgcServer:
     def _ack(
         self,
         conn: socket.socket,
+        send_lock: threading.Lock,
         stream: StreamState,
         frame_index: int,
         status: int,
-        send_lock: threading.Lock | None = None,
     ) -> None:
         channel = self._channel_for(stream.stream_id)
         if channel is not None:
@@ -1005,10 +978,7 @@ class DbgcServer:
         try:
             # The drainer and the handler share one socket (v2.2): the
             # send lock keeps their ACK records from interleaving.
-            if send_lock is not None:
-                with send_lock:
-                    conn.sendall(data)
-            else:
+            with send_lock:
                 conn.sendall(data)
         except OSError:
             pass  # client already gone; it will retransmit on reconnect
@@ -1062,6 +1032,7 @@ class DbgcServer:
         with self.lock:
             self._closed = True  # later close() is a no-op
             conns = list(self._conns)
+            self._settled.notify_all()  # end retransmissions' waits
         for conn in conns:
             try:
                 conn.shutdown(socket.SHUT_RDWR)
@@ -1089,6 +1060,7 @@ class DbgcServer:
         self._listener.close()
         with self.lock:
             conns = list(self._conns)
+            self._settled.notify_all()  # end retransmissions' waits
         for conn in conns:
             try:
                 conn.shutdown(socket.SHUT_RDWR)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 import socket
+import threading
 import time
 
 import pytest
@@ -29,6 +30,7 @@ from repro.system import (
     compressed_fleet_payloads,
     run_fleet,
 )
+from repro.core.temporal import TemporalDecoder
 from repro.system.protocol import (
     ACK_QUARANTINED,
     ACK_STATUS_MASK,
@@ -176,6 +178,117 @@ def test_worker_decode_failure_quarantines_and_releases_seen(intra_payloads):
     # forensics records are identical to the inline path's.
     assert offloaded_error == inline_error
     assert offloaded_cloud == inline_cloud
+
+
+@pytest.mark.parametrize("decode_workers", [0, 1])
+def test_retransmission_of_unsettled_frame_waits_for_its_outcome(decode_workers):
+    """DUPLICATE means committed: a retransmission arriving while the
+    original is still decoding waits for it, and — the original being
+    undecodable — is ingested and quarantined itself."""
+    garbage = b"this is not a dbgc container"  # CRC-intact, undecodable
+    with SqliteFrameStore() as store:
+        server = DbgcServer(
+            store, mode="decompress", decode_workers=decode_workers
+        ).start()
+        try:
+            with socket.create_connection(server.address, timeout=30.0) as sock:
+                sock.sendall(encode_record(TYPE_HELLO, 7))
+                sock.sendall(encode_record(TYPE_FRAME, 0, garbage))
+                sock.sendall(encode_record(TYPE_FRAME, 0, garbage))
+                acks = [read_record(sock) for _ in range(2)]
+            assert [(a.type, a.frame_index) for a in acks] == [(TYPE_ACK, 0)] * 2
+            assert [a.flags & ACK_STATUS_MASK for a in acks] == [
+                ACK_QUARANTINED,
+                ACK_QUARANTINED,
+            ]
+            assert store.frame_indices() == []
+            assert [q.frame_index for q in server.quarantine] == [0, 0]
+            assert server.stream_state(7).seen == set()
+        finally:
+            server.close()
+
+
+def test_kill_ends_a_retransmission_wait():
+    """A retransmission parked behind an unsettled original must not
+    outlive a killed server, nor be answered."""
+    release = threading.Event()
+
+    class StuckStore(SqliteFrameStore):
+        def put_payload(self, frame_index, payload, n_points=0):
+            release.wait(30.0)
+            super().put_payload(frame_index, payload, n_points)
+
+    with StuckStore() as store:
+        server = DbgcServer(store, mode="store").start()
+        socks = [socket.create_connection(server.address, timeout=5.0) for _ in range(2)]
+        try:
+            for sock in socks:
+                sock.sendall(encode_record(TYPE_HELLO, 3))
+            socks[0].sendall(encode_record(TYPE_FRAME, 0, b"x" * 32))
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and not (
+                server.stream_state(3) and server.stream_state(3).unsettled
+            ):
+                time.sleep(0.01)
+            socks[1].sendall(encode_record(TYPE_FRAME, 0, b"x" * 32))
+            time.sleep(0.2)  # let the retransmission reach its wait
+            server.kill()
+            deadline = time.monotonic() + 2.0
+            while server.active_clients > 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            # Only the handler stuck inside the store write is left.
+            assert server.active_clients == 1
+            try:
+                assert socks[1].recv(64) == b""  # torn down, no ACK
+            except ConnectionError:
+                pass
+        finally:
+            release.set()
+            for sock in socks:
+                sock.close()
+            deadline = time.monotonic() + 5.0
+            while server.active_clients and time.monotonic() < deadline:
+                time.sleep(0.01)  # the stuck write finishes before the store closes
+
+
+def test_in_process_decoder_state_is_per_server():
+    """Two live inline-decode servers in one process, one temporal drive
+    each on the *same* stream id, frames interleaved: neither may see
+    the other's predictor state."""
+    drives = [
+        sorted(
+            compressed_fleet_payloads(
+                FleetSpec(n_clients=1, frames_per_client=4, seed=seed),
+                sensor_scale=0.2,
+                temporal=True,
+                keyframe_interval=KEYFRAME_INTERVAL,
+                scene=scene,
+            )[0].items()
+        )
+        for seed, scene in ((11, "kitti-road"), (23, "kitti-city"))
+    ]
+    assert [p for _, p in drives[0]] != [p for _, p in drives[1]]
+    stores = [SqliteFrameStore(), SqliteFrameStore()]
+    servers = [DbgcServer(store, mode="decompress").start() for store in stores]
+    socks = [socket.create_connection(s.address, timeout=30.0) for s in servers]
+    try:
+        for sock in socks:
+            sock.sendall(encode_record(TYPE_HELLO, 5))
+        for frame in zip(*drives):
+            for sock, (index, payload) in zip(socks, frame):
+                ack = _send_frame(sock, index, payload)
+                assert ack.flags & ACK_STATUS_MASK == ACK_STORED, index
+    finally:
+        for sock in socks:
+            sock.close()
+        for server in servers:
+            server.close()
+    for server, store, drive in zip(servers, stores, drives):
+        assert server.quarantine == []
+        replay = TemporalDecoder()
+        expected = {index: replay.decode(p).xyz.tobytes() for index, p in drive}
+        assert cloud_contents(store) == expected
+        store.close()
 
 
 # -- backpressure from the decode queue --------------------------------------
