@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from repro.core.params import DBGCParams
 from repro.entropy.backend import backend_for_tag, get_backend
-from repro.entropy.varint import decode_uvarint, encode_uvarint
+from repro.entropy.varint import decode_uvarint, encode_uvarint, require_finite
 
 __all__ = [
     "ContainerHeader",
@@ -219,12 +219,14 @@ def unpack_container(
         raise ValueError("truncated DBGC container")
     q_xyz, u_theta, u_phi, th_r = _FIXED.unpack_from(data, pos)
     pos += _FIXED.size
+    require_finite("DBGC header", u_theta, u_phi, positive=(q_xyz, th_r))
     fingerprint = 0
     ego_delta = (0.0, 0.0, 0.0)
     if version == _VERSION_DELTA:
         if pos + _V3_EXT.size > len(data):
             raise ValueError("truncated DBGC container")
         fingerprint, dx, dy, dz = _V3_EXT.unpack_from(data, pos)
+        require_finite("DBGC v3 header", dx, dy, dz)
         ego_delta = (dx, dy, dz)
         pos += _V3_EXT.size
     header = ContainerHeader(

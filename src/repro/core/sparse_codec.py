@@ -24,6 +24,7 @@ what the ablation isolates.
 from __future__ import annotations
 
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,7 @@ from repro.entropy.varint import (
     decode_varints,
     encode_uvarint,
     encode_varints,
+    require_finite,
 )
 from repro.geometry.spherical import (
     cartesian_to_spherical,
@@ -185,23 +187,97 @@ def _read_stream(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[pos : pos + size], pos + size
 
 
-def encode_sparse_group(
+#: Payload of a group with no polyline points.
+_EMPTY_GROUP = b"\x00"
+
+
+@dataclass
+class _Polylines:
+    """One group after the Steps 1–7 front: what its radial tail codes.
+
+    Per-line quantized ``d1`` (theta, or x) and ``d2`` (phi, or y) in
+    stored order, the line lengths and the bounds ``(q_theta, q_phi,
+    q_r)``.  The encoder also holds the per-line radial values ``d3``.
+    """
+
+    d1: list[np.ndarray]
+    d2: list[np.ndarray]
+    lengths: list[int]
+    q: tuple[float, float, float]
+    d3: list[np.ndarray] = field(default_factory=list)
+
+    def points(self, d3: np.ndarray, params: DBGCParams) -> np.ndarray:
+        """Cartesian points for the stored-order radial values ``d3``.
+
+        The one dequantization expression of encoder and decoder, so
+        lockstep temporal predictor clouds agree bitwise.
+        """
+        d1 = np.concatenate(self.d1).astype(np.float64)
+        d2 = np.concatenate(self.d2).astype(np.float64)
+        d3 = np.asarray(d3).astype(np.float64)
+        if params.spherical_conversion:
+            q_theta, q_phi, q_r = self.q
+            tpr = np.column_stack([d1 * 2.0 * q_theta, d2 * 2.0 * q_phi, d3 * 2.0 * q_r])
+            return spherical_to_cartesian(tpr)
+        step = 2.0 * params.q_xyz
+        return np.column_stack([d1 * step, d2 * step, d3 * step])
+
+
+#: Step 8 of one group: ``(polylines, params, u_phi, backend)`` to its
+#: named streams, in payload order.
+_RadialTail = Callable[
+    [_Polylines, DBGCParams, float, EntropyBackend], list[tuple[str, bytes]]
+]
+
+
+def _radial_thresholds(
+    params: DBGCParams, u_phi: float, q: tuple[float, float, float]
+) -> tuple[int, int]:
+    """Quantized ``(th_phi, th_r)`` of the consensus reference search."""
+    _q_theta, q_phi, q_r = q
+    th_phi_q = max(int(round(2.0 * u_phi / (2.0 * q_phi))), 0)
+    th_r_q = max(int(round(params.th_r / (2.0 * q_r))), 1)
+    return th_phi_q, th_r_q
+
+
+def _radial_tail(
+    lines: _Polylines, params: DBGCParams, u_phi: float, backend: EntropyBackend
+) -> list[tuple[str, bytes]]:
+    """Step 8: consensus-reference radial deltas and the ``L_ref`` choices
+    (plain per-line deltas under the ablations)."""
+    ref_payload = bytearray()
+    if params.spherical_conversion and params.radial_reference:
+        line_phis = [int(d2[0]) for d2 in lines.d2]
+        nabla, symbols = encode_radial(
+            lines.d1, lines.d3, line_phis, *_radial_thresholds(params, u_phi, lines.q)
+        )
+        encode_uvarint(len(symbols), ref_payload)
+        if len(symbols):
+            ref_payload += encode_tagged_symbols(
+                np.asarray(symbols, dtype=np.int64), 4, backend
+            )
+    else:
+        nabla = encode_radial_plain(lines.d3)
+        encode_uvarint(0, ref_payload)
+    return [("d3", encode_tagged_ints(nabla, backend)), ("l_ref", bytes(ref_payload))]
+
+
+def _encode_group(
     xyz_group: np.ndarray,
     params: DBGCParams,
     u_theta: float,
     u_phi: float,
-) -> GroupEncoding:
-    """Encode one radial group of sparse points.
+    radial_tail: _RadialTail,
+) -> tuple[GroupEncoding, _Polylines | None]:
+    """Steps 1–7 of one group, then ``radial_tail`` codes Step 8.
 
-    Returns the group payload plus the outlier indices (points on no
-    polyline of length >= 2) and the stored point order for correspondence.
+    Returns the encoding and the group's polylines (``None`` when it has
+    no polyline of length >= 2).
     """
     xyz_group = np.asarray(xyz_group, dtype=np.float64)
-    n_input = len(xyz_group)
-    if n_input == 0:
-        out = bytearray()
-        encode_uvarint(0, out)
-        return GroupEncoding(bytes(out), np.empty(0, np.int64), np.empty(0, np.int64))
+    empty = np.empty(0, np.int64)
+    if len(xyz_group) == 0:
+        return GroupEncoding(_EMPTY_GROUP, empty, empty), None
 
     with obs.span("sparse.cor") as sp_cor:
         tpr = cartesian_to_spherical(xyz_group)
@@ -224,28 +300,22 @@ def encode_sparse_group(
         outliers = (
             np.concatenate([line for line in all_lines if len(line) < 2])
             if any(len(line) < 2 for line in all_lines)
-            else np.empty(0, dtype=np.int64)
+            else empty
         )
     if not lines:
-        out = bytearray()
-        encode_uvarint(0, out)
-        return GroupEncoding(
-            bytes(out),
-            outliers,
-            np.empty(0, np.int64),
-            timings={"cor": sp_cor.duration, "org": sp_org.duration, "spa": 0.0},
-        )
+        timings = {"cor": sp_cor.duration, "org": sp_org.duration, "spa": 0.0}
+        return GroupEncoding(_EMPTY_GROUP, outliers, empty, timings=timings), None
     with obs.span("sparse.spa") as sp_spa:
         r_max = float(max(radius[line].max() for line in lines))
         r_max = max(r_max, 1e-9)
-        q_theta, q_phi, q_r = spherical_error_bounds(
+        q = spherical_error_bounds(
             params.q_xyz, r_max, strict_cartesian=params.strict_cartesian
         )
 
         if params.spherical_conversion:
-            d1_all = _quantize(theta, 2.0 * q_theta)
-            d2_all = _quantize(phi, 2.0 * q_phi)
-            d3_all = _quantize(radius, 2.0 * q_r)
+            d1_all = _quantize(theta, 2.0 * q[0])
+            d2_all = _quantize(phi, 2.0 * q[1])
+            d3_all = _quantize(radius, 2.0 * q[2])
         else:
             step = 2.0 * params.q_xyz
             d1_all = _quantize(xyz_group[:, 0], step)
@@ -256,79 +326,89 @@ def encode_sparse_group(
         # The sort uses quantized values so encoder and decoder agree on the
         # reference-set geometry.
         lines.sort(key=lambda line: (int(d2_all[line[0]]), int(d1_all[line[0]])))
-        lines_d1 = [d1_all[line] for line in lines]
-        lines_d2 = [d2_all[line] for line in lines]
-        lines_d3 = [d3_all[line] for line in lines]
-        lengths = [len(line) for line in lines]
+        polylines = _Polylines(
+            [d1_all[line] for line in lines],
+            [d2_all[line] for line in lines],
+            [len(line) for line in lines],
+            q,
+            [d3_all[line] for line in lines],
+        )
         order = np.concatenate(lines)
-
         backend = get_backend(params.entropy_backend)
 
         out = bytearray()
         encode_uvarint(int(order.size), out)
         encode_uvarint(len(lines), out)
         out += _RMAX.pack(r_max)
+        lengths = np.asarray(polylines.lengths, dtype=np.int64)
+        streams = [("lengths", encode_tagged_ints(lengths, backend))]
+        for name, series in (("d1", polylines.d1), ("d2", polylines.d2)):
+            heads, tails = _heads_tails(series)
+            streams.append((name + "_heads", _pack_stream(heads, backend)))
+            streams.append((name + "_tails", _pack_stream(tails, backend)))
+        streams += radial_tail(polylines, params, u_phi, backend)
         sizes: dict[str, int] = {}
+        for name, payload in streams:
+            _append_stream(out, payload)
+            sizes[name] = len(payload)
+            # Per-stream byte accounting (the Figure 13 size breakdown): each
+            # named stream lands on the active span and the bytes.* counters.
+            obs.add_bytes("sparse." + name, len(payload))
 
-        payload = encode_tagged_ints(np.asarray(lengths, dtype=np.int64), backend)
-        _append_stream(out, payload)
-        sizes["lengths"] = len(payload)
+    timings = {"cor": sp_cor.duration, "org": sp_org.duration, "spa": sp_spa.duration}
+    return GroupEncoding(bytes(out), outliers, order, sizes, timings), polylines
 
-        d1_heads, d1_tails = _heads_tails(lines_d1)
-        payload = _pack_stream(d1_heads, backend)
-        _append_stream(out, payload)
-        sizes["d1_heads"] = len(payload)
-        payload = _pack_stream(d1_tails, backend)
-        _append_stream(out, payload)
-        sizes["d1_tails"] = len(payload)
 
-        d2_heads, d2_tails = _heads_tails(lines_d2)
-        payload = _pack_stream(d2_heads, backend)
-        _append_stream(out, payload)
-        sizes["d2_heads"] = len(payload)
-        payload = _pack_stream(d2_tails, backend)
-        _append_stream(out, payload)
-        sizes["d2_tails"] = len(payload)
+def encode_sparse_group(
+    xyz_group: np.ndarray,
+    params: DBGCParams,
+    u_theta: float,
+    u_phi: float,
+) -> GroupEncoding:
+    """Encode one radial group of sparse points.
 
-        if params.spherical_conversion and params.radial_reference:
-            th_phi_q = max(int(round(2.0 * u_phi / (2.0 * q_phi))), 0)
-            th_r_q = max(int(round(params.th_r / (2.0 * q_r))), 1)
-            line_phis = [int(d2[0]) for d2 in lines_d2]
-            nabla, symbols = encode_radial(
-                lines_d1, lines_d3, line_phis, th_phi_q, th_r_q
-            )
-            ref_payload = bytearray()
-            encode_uvarint(len(symbols), ref_payload)
-            if len(symbols):
-                ref_payload += encode_tagged_symbols(
-                    np.asarray(symbols, dtype=np.int64), 4, backend
-                )
-        else:
-            nabla = encode_radial_plain(lines_d3)
-            ref_payload = bytearray()
-            encode_uvarint(0, ref_payload)
+    Returns the group payload plus the outlier indices (points on no
+    polyline of length >= 2) and the stored point order for correspondence.
+    """
+    return _encode_group(xyz_group, params, u_theta, u_phi, _radial_tail)[0]
 
-        payload = encode_tagged_ints(nabla, backend)
-        _append_stream(out, payload)
-        sizes["d3"] = len(payload)
-        _append_stream(out, bytes(ref_payload))
-        sizes["l_ref"] = len(ref_payload)
-        # Per-stream byte accounting (the Figure 13 size breakdown): each
-        # named stream lands on the active span and the bytes.* counters.
-        for name, size in sizes.items():
-            obs.add_bytes("sparse." + name, size)
 
-    return GroupEncoding(
-        bytes(out),
-        outliers,
-        order,
-        sizes,
-        timings={
-            "cor": sp_cor.duration,
-            "org": sp_org.duration,
-            "spa": sp_spa.duration,
-        },
+def _decode_front(
+    payload: bytes, params: DBGCParams, version: int = 2
+) -> tuple[_Polylines, int] | None:
+    """Inverse of the Steps 1–7 front of :func:`_encode_group`.
+
+    Returns the polylines (``d3`` left empty) and the position of the
+    radial tail, or ``None`` for a group without polyline points.
+    """
+    n_points, pos = decode_uvarint(payload, 0)
+    if n_points == 0:
+        return None
+    n_lines, pos = decode_uvarint(payload, pos)
+    (r_max,) = _RMAX.unpack_from(payload, pos)
+    pos += _RMAX.size
+    require_finite("sparse group header", positive=(r_max,))
+    q = spherical_error_bounds(
+        params.q_xyz, r_max, strict_cartesian=params.strict_cartesian
     )
+
+    stream, pos = _read_stream(payload, pos)
+    if version == 1:
+        lengths = decode_int_sequence(stream, checksum=False).tolist()
+    else:
+        lengths = decode_tagged_ints(stream).tolist()
+    if len(lengths) != n_lines or sum(lengths) != n_points:
+        raise ValueError("corrupt sparse group: length stream mismatch")
+
+    n_tail = n_points - n_lines
+    series = []
+    for _ in ("d1", "d2"):
+        stream, pos = _read_stream(payload, pos)
+        heads = _unpack_stream(stream, n_lines, version=version)
+        stream, pos = _read_stream(payload, pos)
+        tails = _unpack_stream(stream, n_tail, version=version)
+        series.append(_rebuild_lines(heads, tails, lengths))
+    return _Polylines(series[0], series[1], lengths, q), pos
 
 
 def decode_sparse_group(
@@ -345,43 +425,17 @@ def decode_sparse_group(
     selects the legacy stream layouts (checksum-less int sequences, raw
     arithmetic ``L_ref``), so v1 containers decode bit-identically.
     """
-    n_points, pos = decode_uvarint(payload, 0)
-    if n_points == 0:
+    front = _decode_front(payload, params, version)
+    if front is None:
         return np.empty((0, 3), dtype=np.float64)
-    n_lines, pos = decode_uvarint(payload, pos)
-    (r_max,) = _RMAX.unpack_from(payload, pos)
-    pos += _RMAX.size
-    q_theta, q_phi, q_r = spherical_error_bounds(
-        params.q_xyz, r_max, strict_cartesian=params.strict_cartesian
-    )
-
-    stream, pos = _read_stream(payload, pos)
-    if version == 1:
-        lengths = decode_int_sequence(stream, checksum=False).tolist()
-    else:
-        lengths = decode_tagged_ints(stream).tolist()
-    if len(lengths) != n_lines or sum(lengths) != n_points:
-        raise ValueError("corrupt sparse group: length stream mismatch")
-
-    n_tail = n_points - n_lines
-    stream, pos = _read_stream(payload, pos)
-    d1_heads = _unpack_stream(stream, n_lines, version=version)
-    stream, pos = _read_stream(payload, pos)
-    d1_tails = _unpack_stream(stream, n_tail, version=version)
-    lines_d1 = _rebuild_lines(d1_heads, d1_tails, lengths)
-
-    stream, pos = _read_stream(payload, pos)
-    d2_heads = _unpack_stream(stream, n_lines, version=version)
-    stream, pos = _read_stream(payload, pos)
-    d2_tails = _unpack_stream(stream, n_tail, version=version)
-    lines_d2 = _rebuild_lines(d2_heads, d2_tails, lengths)
+    lines, pos = front
 
     stream, pos = _read_stream(payload, pos)
     if version == 1:
         nabla = decode_int_sequence(stream, checksum=False)
     else:
         nabla = decode_tagged_ints(stream)
-    if nabla.size != n_points:
+    if nabla.size != sum(lines.lengths):
         raise ValueError("corrupt sparse group: radial stream mismatch")
     ref_stream, pos = _read_stream(payload, pos)
     n_symbols, ref_pos = decode_uvarint(ref_stream, 0)
@@ -393,20 +447,10 @@ def decode_sparse_group(
             symbols = decode_tagged_symbols(ref_stream[ref_pos:], n_symbols, 4)
         else:
             symbols = np.empty(0, dtype=np.int64)
-        th_phi_q = max(int(round(2.0 * u_phi / (2.0 * q_phi))), 0)
-        th_r_q = max(int(round(params.th_r / (2.0 * q_r))), 1)
-        line_phis = [int(d2[0]) for d2 in lines_d2]
-        lines_d3 = decode_radial(lines_d1, line_phis, nabla, symbols, th_phi_q, th_r_q)
-    else:
-        lines_d3 = decode_radial_plain(nabla, lengths)
-
-    d1 = np.concatenate(lines_d1).astype(np.float64)
-    d2 = np.concatenate(lines_d2).astype(np.float64)
-    d3 = np.concatenate(lines_d3).astype(np.float64)
-    if params.spherical_conversion:
-        tpr = np.column_stack(
-            [d1 * 2.0 * q_theta, d2 * 2.0 * q_phi, d3 * 2.0 * q_r]
+        line_phis = [int(d2[0]) for d2 in lines.d2]
+        lines_d3 = decode_radial(
+            lines.d1, line_phis, nabla, symbols, *_radial_thresholds(params, u_phi, lines.q)
         )
-        return spherical_to_cartesian(tpr)
-    step = 2.0 * params.q_xyz
-    return np.column_stack([d1 * step, d2 * step, d3 * step])
+    else:
+        lines_d3 = decode_radial_plain(nabla, lines.lengths)
+    return lines.points(np.concatenate(lines_d3), params)

@@ -28,13 +28,16 @@ byte-exact round-trip guarantee of the intra codec:
   ``d3``).  Where the candidates disagree by more than a few steps a
   2-bit selector names the best one; the residual stream replaces the
   intra pipeline's consensus-reference ``∇L_r`` / ``L_ref`` tail.  The
-  ``theta`` / ``phi`` / length streams are byte-identical to intra coding
-  (angle jitter is frame-independent and does not predict well).
+  ``theta`` / ``phi`` / length streams come from the intra encoder's own
+  Steps 1–7 front (angle jitter is frame-independent and does not
+  predict well).
 
-Every component carries a leading mode byte and falls back to intra
-coding whenever the delta coding is not smaller, so a delta frame is
-never worse than its intra equivalent plus a few flag bytes.  Outliers
-and attributes are always intra-coded.
+Every component carries a leading mode byte.  The encoder codes each
+component once and emits ``MODE_INTRA`` only where delta coding is not
+applicable: a dense set with no predictor cloud or whose grid would
+overflow, a group with no previous sparse points or no polyline points,
+or the ``-Conversion`` ablation.  Outliers and attributes are always
+intra-coded.
 
 Encoder and decoder advance a shared :class:`TemporalContext` in
 lockstep; a content CRC of the predictor cloud travels in the v3 header
@@ -45,6 +48,7 @@ geometry, and resynchronizes at the next keyframe.
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 
@@ -62,35 +66,26 @@ from repro.core.container import (
 )
 from repro.core.outlier import decode_outliers, encode_outliers
 from repro.core.params import DBGCParams
-from repro.core.polyline import organize_polylines
-from repro.core.reference import encode_radial, encode_radial_plain
 from repro.core.sparse_codec import (
-    _RMAX,
-    _append_stream,
-    _heads_tails,
-    _pack_stream,
+    _Polylines,
+    _decode_front,
+    _encode_group,
     _quantize,
+    _radial_tail,
     _read_stream,
-    _rebuild_lines,
-    _unpack_stream,
     decode_sparse_group,
-    encode_sparse_group,
 )
 from repro.entropy.arithmetic import binary_context_decoder, binary_context_encode
 from repro.entropy.backend import (
+    EntropyBackend,
     decode_tagged_ints,
     decode_tagged_symbols,
     encode_tagged_ints,
     encode_tagged_symbols,
-    get_backend,
 )
-from repro.entropy.varint import decode_uvarint, encode_uvarint
+from repro.entropy.varint import decode_uvarint, encode_uvarint, require_finite
 from repro.geometry.points import PointCloud
-from repro.geometry.spherical import (
-    cartesian_to_spherical,
-    spherical_error_bounds,
-    spherical_to_cartesian,
-)
+from repro.geometry.spherical import cartesian_to_spherical
 from repro.octree.codec import OctreeCodec
 from repro.octree.morton import MAX_DEPTH_3D, deinterleave3, interleave3
 from repro.octree.octree import build_octree_structure, expand_occupancy_level
@@ -223,11 +218,6 @@ def _fresh_models() -> OccModels:
     return [1] * N_OCC_CONTEXTS, [1] * N_OCC_CONTEXTS
 
 
-def _clone_models(models: OccModels) -> OccModels:
-    """Copy the models so a *trial* encode can be discarded."""
-    return list(models[0]), list(models[1])
-
-
 # -- dense (octree occupancy) delta coding ----------------------------------------
 
 
@@ -314,8 +304,7 @@ def _code_occupancy(
     depth: int,
     models: OccModels,
 ) -> bytes:
-    """Context-code the occupancy stream; mutates ``models`` (pass a clone
-    for a trial encode and commit it only if delta mode is chosen)."""
+    """Context-code the occupancy stream; updates ``models`` in place."""
     contexts = []
     bits = []
     nodes = np.zeros(1, dtype=np.int64)
@@ -378,27 +367,30 @@ def _leaf_points(
     return np.repeat(centers, counts, axis=0)
 
 
+def _dense_header(data: bytes, pos: int) -> tuple[np.ndarray, float, int]:
+    """``(origin, leaf_side, next_pos)`` of a non-empty dense payload."""
+    ox, oy, oz, leaf = _DENSE_HEADER.unpack_from(data, pos)
+    require_finite("dense header", ox, oy, oz, positive=(leaf,))
+    return np.array([ox, oy, oz], dtype=np.float64), leaf, pos + _DENSE_HEADER.size
+
+
 def dense_payload_origin(dense_payload: bytes) -> np.ndarray | None:
     """Grid origin of a dense payload (intra and delta share the header)."""
     n_points, pos = decode_uvarint(dense_payload, 0)
     if n_points == 0:
         return None
-    ox, oy, oz, _leaf = _DENSE_HEADER.unpack_from(dense_payload, pos)
-    return np.array([ox, oy, oz], dtype=np.float64)
+    return _dense_header(dense_payload, pos)[0]
 
 
 def _encode_dense_delta(
-    xyz: np.ndarray,
-    params: DBGCParams,
-    context: TemporalContext,
-    ego_delta,
-    models: OccModels,
+    xyz: np.ndarray, params: DBGCParams, context: TemporalContext, ego_delta
 ):
     """Delta-code the dense set on the chain-snapped grid.
 
     Returns ``(payload, per_point_codes, leaf_codes, leaf_counts, origin)``
-    or ``None`` when delta coding is not applicable (empty set, grid
-    overflow).  ``models`` is mutated — pass a clone and commit on choice.
+    and advances ``context.occ_models``, or returns ``None`` (models
+    untouched) when delta coding is not applicable: no points, no
+    predictor cloud, or a grid deeper than the Morton codes hold.
     """
     if len(xyz) == 0 or context.prev_cloud is None or len(context.prev_cloud) == 0:
         return None
@@ -419,7 +411,7 @@ def _encode_dense_delta(
     structure = build_octree_structure(codes, depth)
     occ = structure.occupancy_stream()
     maps = _pred_maps(context.prev_cloud, origin, leaf, depth, ego_delta)
-    occ_payload = _code_occupancy(occ, maps, depth, models)
+    occ_payload = _code_occupancy(occ, maps, depth, context.occ_models)
     out = bytearray()
     encode_uvarint(len(xyz), out)
     out += _DENSE_HEADER.pack(origin[0], origin[1], origin[2], leaf)
@@ -442,9 +434,7 @@ def _decode_dense_delta(
         return np.empty((0, 3), dtype=np.float64), None
     if context.prev_cloud is None:
         raise ValueError("delta frame without predictor state")
-    ox, oy, oz, leaf = _DENSE_HEADER.unpack_from(data, pos)
-    pos += _DENSE_HEADER.size
-    origin = np.array([ox, oy, oz], dtype=np.float64)
+    origin, leaf, pos = _dense_header(data, pos)
     depth, pos = decode_uvarint(data, pos)
     if not 1 <= depth <= MAX_DEPTH_3D:
         raise ValueError(f"corrupt dense delta: octree depth {depth}")
@@ -537,25 +527,36 @@ def _ray_candidates(
     return m_raw & m_mc, rq[idx_raw], rq_mc[idx_mc]
 
 
-def _group_points(
-    d1: np.ndarray,
-    d2: np.ndarray,
-    d3: np.ndarray,
-    q_theta: float,
-    q_phi: float,
-    q_r: float,
-) -> np.ndarray:
-    """Decoded Cartesian points of one group (matches the intra decoder's
-    float expression exactly, so lockstep predictor clouds are bitwise
-    identical)."""
-    tpr = np.column_stack(
-        [
-            d1.astype(np.float64) * 2.0 * q_theta,
-            d2.astype(np.float64) * 2.0 * q_phi,
-            d3.astype(np.float64) * 2.0 * q_r,
-        ]
+def _delta_tail(
+    lines: _Polylines,
+    params: DBGCParams,
+    u_phi: float,
+    backend: EntropyBackend,
+    context: TemporalContext,
+    ego_delta,
+) -> list[tuple[str, bytes]]:
+    """Temporal radial tail: predictor residuals plus the selector stream."""
+    d1 = np.concatenate(lines.d1)
+    d2 = np.concatenate(lines.d2)
+    d3 = np.concatenate(lines.d3)
+    matched, r_raw, r_mc = _ray_candidates(
+        d1, d2, context.prev_sparse, ego_delta, *lines.q
     )
-    return spherical_to_cartesian(tpr)
+    r_baseline = _baseline_refs(d3, lines.lengths)
+    candidates = np.stack([r_baseline, r_raw, r_mc], axis=1)
+    flagged = matched & ((candidates.max(axis=1) - candidates.min(axis=1)) > _SPREAD_FLAG)
+    selectors = np.abs(d3[:, None] - candidates).argmin(axis=1)
+    refs = np.where(
+        matched,
+        np.where(flagged, candidates[np.arange(len(d3)), selectors], r_mc),
+        r_baseline,
+    )
+    sel_payload = bytearray()
+    n_flagged = int(flagged.sum())
+    encode_uvarint(n_flagged, sel_payload)
+    if n_flagged:
+        sel_payload += encode_tagged_symbols(selectors[flagged], 3, backend)
+    return [("d3", encode_tagged_ints(d3 - refs, backend)), ("l_sel", bytes(sel_payload))]
 
 
 def encode_group_payload(
@@ -568,139 +569,29 @@ def encode_group_payload(
 ) -> tuple[bytes, np.ndarray, np.ndarray, dict[str, int], np.ndarray]:
     """Encode one sparse group for a delta frame (mode byte included).
 
-    Builds the intra front (lengths / theta / phi streams, byte-identical
-    to :func:`~repro.core.sparse_codec.encode_sparse_group`) plus *both*
-    radial tails — the intra consensus-reference tail and the temporal
-    predictor tail — and keeps whichever is smaller.  Returns
+    The intra encoder's Steps 1–7 front, then the temporal radial tail
+    (``MODE_DELTA``).  Where that tail is not applicable — no spherical
+    conversion, no previous sparse points, or no polyline points — the
+    group is the intra group payload (``MODE_INTRA``).  Returns
     ``(payload, outlier_indices, order, stream_sizes, decoded_points)``.
     """
-    xyz_group = np.asarray(xyz_group, dtype=np.float64)
-    empty = np.empty(0, dtype=np.int64)
-    if (
-        not params.spherical_conversion
-        or context.prev_sparse is None
-        or len(context.prev_sparse) == 0
-    ):
-        enc = encode_sparse_group(xyz_group, params, u_theta, u_phi)
-        decoded = decode_sparse_group(enc.payload, params, u_theta, u_phi)
-        return (
-            bytes([MODE_INTRA]) + enc.payload,
-            enc.outlier_indices,
-            enc.order,
-            dict(enc.stream_sizes),
-            decoded,
-        )
-    if len(xyz_group) == 0:
-        out = bytearray([MODE_INTRA])
-        encode_uvarint(0, out)
-        return bytes(out), empty, empty, {}, np.empty((0, 3), dtype=np.float64)
-
-    tpr = cartesian_to_spherical(xyz_group)
-    theta, phi, radius = tpr[:, 0], tpr[:, 1], tpr[:, 2]
-    all_lines = organize_polylines(theta, phi, xyz_group, u_theta, u_phi)
-    lines = [line for line in all_lines if len(line) >= 2]
-    outliers = (
-        np.concatenate([line for line in all_lines if len(line) < 2])
-        if any(len(line) < 2 for line in all_lines)
-        else empty
+    applicable = (
+        params.spherical_conversion
+        and context.prev_sparse is not None
+        and len(context.prev_sparse) > 0
     )
-    if not lines:
-        out = bytearray([MODE_INTRA])
-        encode_uvarint(0, out)
-        return bytes(out), outliers, empty, {}, np.empty((0, 3), dtype=np.float64)
-
-    r_max = max(float(max(radius[line].max() for line in lines)), 1e-9)
-    q_theta, q_phi, q_r = spherical_error_bounds(
-        params.q_xyz, r_max, strict_cartesian=params.strict_cartesian
-    )
-    d1_all = _quantize(theta, 2.0 * q_theta)
-    d2_all = _quantize(phi, 2.0 * q_phi)
-    d3_all = _quantize(radius, 2.0 * q_r)
-    lines.sort(key=lambda line: (int(d2_all[line[0]]), int(d1_all[line[0]])))
-    lines_d1 = [d1_all[line] for line in lines]
-    lines_d2 = [d2_all[line] for line in lines]
-    lines_d3 = [d3_all[line] for line in lines]
-    lengths = [len(line) for line in lines]
-    order = np.concatenate(lines)
-    backend = get_backend(params.entropy_backend)
-
-    # The front is byte-identical to the intra encoder (Steps 1-7).
-    out = bytearray()
-    encode_uvarint(int(order.size), out)
-    encode_uvarint(len(lines), out)
-    out += _RMAX.pack(r_max)
-    sizes: dict[str, int] = {}
-    payload = encode_tagged_ints(np.asarray(lengths, dtype=np.int64), backend)
-    _append_stream(out, payload)
-    sizes["lengths"] = len(payload)
-    for name, series in (("d1", lines_d1), ("d2", lines_d2)):
-        heads, tails = _heads_tails(series)
-        payload = _pack_stream(heads, backend)
-        _append_stream(out, payload)
-        sizes[name + "_heads"] = len(payload)
-        payload = _pack_stream(tails, backend)
-        _append_stream(out, payload)
-        sizes[name + "_tails"] = len(payload)
-
-    # Intra radial tail: the consensus-reference scheme of Step 8.
-    if params.radial_reference:
-        th_phi_q = max(int(round(2.0 * u_phi / (2.0 * q_phi))), 0)
-        th_r_q = max(int(round(params.th_r / (2.0 * q_r))), 1)
-        line_phis = [int(d2[0]) for d2 in lines_d2]
-        nabla, symbols = encode_radial(lines_d1, lines_d3, line_phis, th_phi_q, th_r_q)
-        ref_payload = bytearray()
-        encode_uvarint(len(symbols), ref_payload)
-        if len(symbols):
-            ref_payload += encode_tagged_symbols(
-                np.asarray(symbols, dtype=np.int64), 4, backend
-            )
+    if applicable:
+        tail = functools.partial(_delta_tail, context=context, ego_delta=ego_delta)
     else:
-        nabla = encode_radial_plain(lines_d3)
-        ref_payload = bytearray()
-        encode_uvarint(0, ref_payload)
-    intra_d3 = encode_tagged_ints(nabla, backend)
-    intra_tail = bytearray()
-    _append_stream(intra_tail, intra_d3)
-    _append_stream(intra_tail, bytes(ref_payload))
-
-    # Temporal radial tail: predictor candidates + selector + residual.
-    d1 = np.concatenate(lines_d1)
-    d2 = np.concatenate(lines_d2)
-    d3 = np.concatenate(lines_d3)
-    matched, r_raw, r_mc = _ray_candidates(
-        d1, d2, context.prev_sparse, ego_delta, q_theta, q_phi, q_r
-    )
-    r_baseline = _baseline_refs(d3, lengths)
-    candidates = np.stack([r_baseline, r_raw, r_mc], axis=1)
-    flagged = matched & ((candidates.max(axis=1) - candidates.min(axis=1)) > _SPREAD_FLAG)
-    selectors = np.abs(d3[:, None] - candidates).argmin(axis=1)
-    refs = np.where(
-        matched,
-        np.where(flagged, candidates[np.arange(len(d3)), selectors], r_mc),
-        r_baseline,
-    )
-    delta_d3 = encode_tagged_ints(d3 - refs, backend)
-    sel_payload = bytearray()
-    n_flagged = int(flagged.sum())
-    encode_uvarint(n_flagged, sel_payload)
-    if n_flagged:
-        sel_payload += encode_tagged_symbols(selectors[flagged], 3, backend)
-    delta_tail = bytearray()
-    _append_stream(delta_tail, delta_d3)
-    _append_stream(delta_tail, bytes(sel_payload))
-
-    if len(delta_tail) < len(intra_tail):
-        mode = MODE_DELTA
-        out += delta_tail
-        sizes["d3"] = len(delta_d3)
-        sizes["l_sel"] = len(sel_payload)
+        tail = _radial_tail
+    enc, lines = _encode_group(xyz_group, params, u_theta, u_phi, tail)
+    if lines is None:
+        mode, decoded = MODE_INTRA, np.empty((0, 3), dtype=np.float64)
     else:
-        mode = MODE_INTRA
-        out += intra_tail
-        sizes["d3"] = len(intra_d3)
-        sizes["l_ref"] = len(ref_payload)
-    decoded = _group_points(d1, d2, d3, q_theta, q_phi, q_r)
-    return bytes([mode]) + bytes(out), outliers, order, sizes, decoded
+        mode = MODE_DELTA if applicable else MODE_INTRA
+        decoded = lines.points(np.concatenate(lines.d3), params)
+    payload = bytes([mode]) + enc.payload
+    return payload, enc.outlier_indices, enc.order, enc.stream_sizes, decoded
 
 
 def decode_sparse_group_delta(
@@ -712,32 +603,13 @@ def decode_sparse_group_delta(
     ego_delta,
 ) -> np.ndarray:
     """Decode a temporally-coded group payload (mode byte stripped)."""
-    n_points, pos = decode_uvarint(payload, 0)
-    if n_points == 0:
+    front = _decode_front(payload, params)
+    if front is None:
         return np.empty((0, 3), dtype=np.float64)
     if context.prev_sparse is None or len(context.prev_sparse) == 0:
         raise ValueError("temporal group without predictor state")
-    n_lines, pos = decode_uvarint(payload, pos)
-    (r_max,) = _RMAX.unpack_from(payload, pos)
-    pos += _RMAX.size
-    q_theta, q_phi, q_r = spherical_error_bounds(
-        params.q_xyz, r_max, strict_cartesian=params.strict_cartesian
-    )
-    stream, pos = _read_stream(payload, pos)
-    lengths = decode_tagged_ints(stream).tolist()
-    if len(lengths) != n_lines or sum(lengths) != n_points:
-        raise ValueError("corrupt sparse group: length stream mismatch")
-    n_tail = n_points - n_lines
-    stream, pos = _read_stream(payload, pos)
-    d1_heads = _unpack_stream(stream, n_lines)
-    stream, pos = _read_stream(payload, pos)
-    d1_tails = _unpack_stream(stream, n_tail)
-    lines_d1 = _rebuild_lines(d1_heads, d1_tails, lengths)
-    stream, pos = _read_stream(payload, pos)
-    d2_heads = _unpack_stream(stream, n_lines)
-    stream, pos = _read_stream(payload, pos)
-    d2_tails = _unpack_stream(stream, n_tail)
-    lines_d2 = _rebuild_lines(d2_heads, d2_tails, lengths)
+    lines, pos = front
+    n_points = sum(lines.lengths)
 
     stream, pos = _read_stream(payload, pos)
     residuals = decode_tagged_ints(stream)
@@ -750,10 +622,12 @@ def decode_sparse_group_delta(
     else:
         selectors = np.empty(0, dtype=np.int64)
 
-    d1 = np.concatenate(lines_d1)
-    d2 = np.concatenate(lines_d2)
     matched, r_raw, r_mc = _ray_candidates(
-        d1, d2, context.prev_sparse, ego_delta, q_theta, q_phi, q_r
+        np.concatenate(lines.d1),
+        np.concatenate(lines.d2),
+        context.prev_sparse,
+        ego_delta,
+        *lines.q,
     )
     # d3 must be reconstructed sequentially: the stream-order baseline (and
     # with it the flag decision) depends on the previous decoded value.
@@ -765,7 +639,7 @@ def decode_sparse_group_delta(
     selectors_l = selectors.tolist()
     sel_i = 0
     idx = 0
-    for length in lengths:
+    for length in lines.lengths:
         prev_val = 0
         for _ in range(length):
             if matched_l[idx]:
@@ -784,7 +658,7 @@ def decode_sparse_group_delta(
             idx += 1
     if sel_i != len(selectors_l):
         raise ValueError("corrupt temporal group: selector stream mismatch")
-    return _group_points(d1, d2, d3, q_theta, q_phi, q_r)
+    return lines.points(d3, params)
 
 
 # -- frame orchestration -----------------------------------------------------------
@@ -801,8 +675,9 @@ def compress_delta(
     """Compress one delta frame (format v3) against ``context``.
 
     ``compressor`` is a :class:`repro.core.pipeline.DBGCCompressor`; the
-    frame pipeline mirrors its intra path, with per-component delta/intra
-    choice.  ``context`` is advanced to this frame's decoded geometry.
+    frame pipeline mirrors its intra path; each component is delta-coded
+    where applicable, else intra-coded.  ``context`` is advanced to this
+    frame's decoded geometry.
     """
     from repro.core.pipeline import CompressionResult
 
@@ -826,17 +701,11 @@ def compress_delta(
     )
     group_globals = [sparse_idx[g] for g in groups]
 
-    # Dense component: intra vs chain-grid delta, smaller wins.
-    octree = OctreeCodec(params.leaf_side, backend=params.entropy_backend)
-    intra_payload = octree.encode(xyz[dense_idx])
-    trial_models = _clone_models(context.occ_models)
-    delta_result = _encode_dense_delta(
-        xyz[dense_idx], params, context, ego, trial_models
-    )
-    if delta_result is not None and len(delta_result[0]) < len(intra_payload):
+    # Dense component: chain-grid delta, intra octree where not applicable.
+    delta_result = _encode_dense_delta(xyz[dense_idx], params, context, ego)
+    if delta_result is not None:
         payload, codes, leaf_codes, leaf_counts, dense_origin = delta_result
         dense_payload = bytes([MODE_DELTA]) + payload
-        context.occ_models = trial_models
         dense_decoded = _leaf_points(
             leaf_codes, leaf_counts, dense_origin, params.leaf_side
         )
@@ -844,6 +713,8 @@ def compress_delta(
         octree_mapping = np.empty(len(codes), dtype=np.int64)
         octree_mapping[order] = np.arange(len(codes))
     else:
+        octree = OctreeCodec(params.leaf_side, backend=params.entropy_backend)
+        intra_payload = octree.encode(xyz[dense_idx])
         dense_payload = bytes([MODE_INTRA]) + intra_payload
         dense_decoded = octree.decode(intra_payload)
         dense_origin = dense_payload_origin(intra_payload)

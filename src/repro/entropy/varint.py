@@ -3,10 +3,14 @@
 Delta-encoded coordinate streams are signed and concentrated near zero
 (paper Step 2), so zigzag + varint gives a compact byte representation that
 the arithmetic/Huffman back-ends can then squeeze further.
+
+:func:`require_finite` is the check every payload header applies to the
+floats it reads next to its varints (origins, steps, bounds).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,6 +22,7 @@ __all__ = [
     "decode_varints",
     "zigzag_encode",
     "zigzag_decode",
+    "require_finite",
 ]
 
 
@@ -46,6 +51,21 @@ def decode_uvarint(data: bytes, pos: int) -> tuple[int, int]:
         shift += 7
         if shift > 70:
             raise ValueError("varint too long")
+
+
+def require_finite(what: str, *values: float, positive: tuple[float, ...] = ()) -> None:
+    """Reject a corrupt header float with ``ValueError``.
+
+    Every value must be finite and every ``positive`` one (a step or a
+    bound) also > 0: a NaN or infinite origin or step would otherwise
+    decode to a silently wrong cloud.
+    """
+    for value in (*values, *positive):
+        if not math.isfinite(value):
+            raise ValueError(f"corrupt {what}: non-finite value {value}")
+    for value in positive:
+        if value <= 0:
+            raise ValueError(f"corrupt {what}: non-positive step {value}")
 
 
 def zigzag_encode(values: np.ndarray) -> np.ndarray:

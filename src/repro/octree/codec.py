@@ -45,7 +45,7 @@ from repro.entropy.backend import (
     encode_tagged_symbols,
     get_backend,
 )
-from repro.entropy.varint import decode_uvarint, encode_uvarint
+from repro.entropy.varint import decode_uvarint, encode_uvarint, require_finite
 from repro.geometry.bbox import BoundingCube
 from repro.octree.morton import MAX_DEPTH_3D, deinterleave3, interleave3
 from repro.octree.octree import build_octree_structure, expand_occupancy_level
@@ -142,6 +142,7 @@ class OctreeCodec:
             return np.empty((0, 3), dtype=np.float64)
         ox, oy, oz, leaf_side = _HEADER.unpack_from(data, pos)
         pos += _HEADER.size
+        require_finite("octree header", ox, oy, oz, positive=(leaf_side,))
         depth, pos = decode_uvarint(data, pos)
         if version == 1:
             payload_len, pos = decode_uvarint(data, pos)

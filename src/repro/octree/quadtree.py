@@ -29,7 +29,7 @@ from repro.entropy.backend import (
     encode_tagged_symbols,
     get_backend,
 )
-from repro.entropy.varint import decode_uvarint, encode_uvarint
+from repro.entropy.varint import decode_uvarint, encode_uvarint, require_finite
 from repro.geometry.bbox import pow2_cover
 from repro.octree.morton import MAX_DEPTH_2D, deinterleave2, interleave2
 
@@ -123,6 +123,7 @@ class QuadtreeCodec:
             return np.empty((0, 2), dtype=np.float64)
         ox, oy, leaf_side = _HEADER.unpack_from(data, pos)
         pos += _HEADER.size
+        require_finite("quadtree header", ox, oy, positive=(leaf_side,))
         depth, pos = decode_uvarint(data, pos)
         if version == 1:
             payload_len, pos = decode_uvarint(data, pos)

@@ -11,7 +11,7 @@ from repro.core.temporal import (
     TemporalDecoder,
     decompress_delta,
 )
-from repro.datasets import SensorModel
+from repro.datasets import SensorModel, generate_frame
 from repro.datasets.trajectories import generate_sequence, straight
 
 Q_XYZ = 0.02
@@ -94,8 +94,8 @@ class TestTemporalCodec:
         intra = DBGCCompressor(DBGCParams(q_xyz=Q_XYZ), sensor=sensor)
         delta_total = sum(len(results[i].payload) for i in range(1, 4))
         intra_total = sum(len(intra.compress(frames[i])) for i in range(1, 4))
-        # Deltas must win in aggregate on an overlapping drive; per-frame
-        # ties can happen when every component falls back to intra.
+        # Deltas must win in aggregate on an overlapping drive; a single
+        # frame carries no such promise (see TestSceneCut).
         assert delta_total < intra_total
 
     def test_keyframe_interval_one_matches_independent_coding(self, drive, sensor):
@@ -132,6 +132,25 @@ class TestTemporalCodec:
         # The stream heals at the next keyframe.
         decoded = decoder.decode(results[4].payload)
         assert len(decoded) == len(frames[4])
+
+
+class TestSceneCut:
+    def test_delta_across_a_scene_cut_stays_near_intra(self, drive, sensor):
+        # The encoder codes each component once, without trying intra next
+        # to delta.  Its worst case is a delta frame with nothing in common
+        # with its predictor: a city frame after a road keyframe.
+        frames, _trajectory = drive
+        city = generate_frame("kitti-city", 0, sensor=sensor, seed=1)
+        params = DBGCParams(q_xyz=Q_XYZ, temporal=True, keyframe_interval=KEYFRAME_INTERVAL)
+        compressor = DBGCCompressor(params, sensor=sensor)
+        context = TemporalContext()
+        decoder = TemporalDecoder()
+        decoder.decode(compressor.compress_temporal(frames[0], context).payload)
+        delta = compressor.compress_temporal(city, context).payload
+        assert container_version(delta) == 3
+        assert np.array_equal(decoder.decode(delta).xyz, context.prev_cloud)
+        intra = DBGCCompressor(DBGCParams(q_xyz=Q_XYZ), sensor=sensor).compress(city)
+        assert len(delta) <= 1.10 * len(intra), (len(delta), len(intra))
 
 
 class TestServerTemporalIngest:

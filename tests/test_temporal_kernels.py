@@ -5,8 +5,9 @@ The delta dense payload is coded by :func:`binary_context_encode` and
 oracle (``tests/oracles.py``) is the original loop: one
 :class:`AdaptiveModel` per context tuple, driven bit by bit.  Bytes,
 leaf codes and every context's counts must agree, across frames, at
-keyframe resets, through a discarded trial encode, through the halving
-rescale and on corrupt payloads.
+keyframe resets, through the halving rescale and on corrupt payloads.
+Components where delta coding is not applicable fall back to intra
+coding and leave the models where they were.
 """
 
 import copy
@@ -22,9 +23,9 @@ from repro.core.container import unpack_container
 from repro.core.pipeline import DBGCCompressor
 from repro.core.temporal import (
     MODE_DELTA,
+    MODE_INTRA,
     TemporalContext,
     TemporalDecoder,
-    _clone_models,
     _decode_dense_delta,
     _decode_occupancy,
     _fresh_models,
@@ -39,6 +40,7 @@ from repro.entropy.arithmetic import (
 )
 from repro.entropy.backend import encode_tagged_ints
 from repro.entropy.varint import encode_uvarint
+from repro.geometry.points import PointCloud
 from tests.oracles import (
     code_occupancy_py,
     context_id,
@@ -74,10 +76,10 @@ def _compressor(sensor):
 
 @pytest.fixture(scope="module")
 def coded(drive, sensor):
-    """Encode the drive, recording every occupancy trial encode.
+    """Encode the drive, recording every occupancy encode.
 
     Returns ``(payloads, calls, models_after)``: ``calls[i]`` lists frame
-    ``i``'s ``(occ, maps, depth, payload)`` trial encodes and
+    ``i``'s ``(occ, maps, depth, payload)`` occupancy encodes and
     ``models_after[i]`` is ``context.occ_models`` after frame ``i``.
     """
     frames, egos = drive
@@ -98,7 +100,7 @@ def coded(drive, sensor):
             payloads.append(
                 compressor.compress_temporal(cloud, context, ego_delta=ego).payload
             )
-            models_after.append(_clone_models(context.occ_models))
+            models_after.append(copy.deepcopy(context.occ_models))
     return payloads, calls, models_after
 
 
@@ -124,19 +126,17 @@ class TestAgainstOracle:
         assert sum(mode == MODE_DELTA for mode in modes) >= 3
 
     def test_multi_frame_persistence_and_keyframe_reset(self, coded):
-        # The oracle replays every trial encode with its own dict models,
-        # committing a trial only when the frame chose delta mode.
+        # The oracle replays every occupancy encode with its own dict models;
+        # each one is a delta frame's dense payload.
         payloads, calls, models_after = coded
         oracle: dict = {}
         for i, payload in enumerate(payloads):
             if _dense_mode(payload) is None:
                 oracle = {}
                 assert models_after[i] == _fresh_models()
+            assert len(calls[i]) == (1 if _dense_mode(payload) == MODE_DELTA else 0)
             for occ, maps, depth, kernel_bytes in calls[i]:
-                trial = copy.deepcopy(oracle)
-                assert code_occupancy_py(occ, maps, depth, trial) == kernel_bytes
-                if _dense_mode(payload) == MODE_DELTA:
-                    oracle = trial
+                assert code_occupancy_py(occ, maps, depth, oracle) == kernel_bytes
             assert to_counts(oracle) == models_after[i]
         # Persistence: the last delta before the second keyframe saw
         # counts carried over from earlier deltas.
@@ -147,7 +147,7 @@ class TestAgainstOracle:
         decoder = TemporalDecoder()
         oracle: dict = {}
         for i, payload in enumerate(payloads):
-            before = _clone_models(decoder.context.occ_models)
+            before = copy.deepcopy(decoder.context.occ_models)
             decoder.decode(payload)
             assert decoder.context.occ_models == models_after[i]
             if _dense_mode(payload) is None:
@@ -160,31 +160,6 @@ class TestAgainstOracle:
             reference = decode_occupancy_py(kernel_bytes, maps, depth, oracle, 1 << 62)
             assert np.array_equal(kernel, reference)
             assert before == to_counts(oracle) == models_after[i]
-
-    def test_discarded_trial_leaves_models_unchanged(self, drive, sensor):
-        # Make delta mode lose on frame 2: its trial encode runs (and
-        # mutates the trial copy), but the committed models must not move.
-        frames, egos = drive
-        compressor = _compressor(sensor)
-        context = TemporalContext()
-        for cloud, ego in zip(frames[:2], egos[:2]):
-            compressor.compress_temporal(cloud, context, ego_delta=ego)
-        before = _clone_models(context.occ_models)
-        real = temporal._encode_dense_delta
-        trials = []
-
-        def losing(xyz, params, ctx, ego, models):
-            result = real(xyz, params, ctx, ego, models)
-            trials.append(_clone_models(models))
-            return (result[0] + bytes(1 << 20),) + result[1:]
-
-        with mock.patch.object(temporal, "_encode_dense_delta", losing):
-            payload = compressor.compress_temporal(
-                frames[2], context, ego_delta=egos[2]
-            ).payload
-        assert _dense_mode(payload) != MODE_DELTA
-        assert trials and trials[0] != before
-        assert context.occ_models == before
 
     def test_halving_rescale(self, coded):
         # Preload the busiest context just under the rescale threshold on
@@ -200,7 +175,7 @@ class TestAgainstOracle:
         counts = to_counts(oracle)
         before_total = model.total
         decoder_oracle = copy.deepcopy(oracle)
-        decoder_counts = _clone_models(counts)
+        decoder_counts = copy.deepcopy(counts)
 
         payload = temporal._code_occupancy(occ, maps, depth, counts)
         assert code_occupancy_py(occ, maps, depth, oracle) == payload
@@ -239,6 +214,48 @@ class TestAgainstOracle:
                 assert kernel_models == to_counts(oracle)
                 outcomes.add("decoded")
         assert "error" in outcomes
+
+
+class TestIntraFallbacks:
+    """Delta frames whose components cannot be delta-coded.
+
+    An empty predictor cloud leaves the dense set and every group without
+    a predictor; a dense-only keyframe leaves the groups without previous
+    sparse points.  Those components are intra-coded (``MODE_INTRA``),
+    and the frames still decode bit-exactly in lockstep with the encoder.
+    """
+
+    @pytest.mark.parametrize("keyframe", ["empty", "dense-only"])
+    def test_round_trip_in_lockstep(self, drive, sensor, keyframe):
+        frames, egos = drive
+        compressor = _compressor(sensor)
+        if keyframe == "empty":
+            first = PointCloud(np.empty((0, 3)))
+            intra_dense = True
+        else:
+            first = PointCloud(frames[0].xyz[compressor._classify(frames[0].xyz)])
+            intra_dense = False
+        context = TemporalContext()
+        decoder = TemporalDecoder()
+        stream = [(first, (0.0, 0.0, 0.0)), (frames[1], egos[1]), (frames[2], egos[2])]
+        for i, (cloud, ego) in enumerate(stream):
+            payload = compressor.compress_temporal(cloud, context, ego_delta=ego).payload
+            decoded = decoder.decode(payload)
+            assert np.array_equal(decoded.xyz, context.prev_cloud)
+            assert decoder.context.fingerprint() == context.fingerprint()
+            assert decoder.context.occ_models == context.occ_models
+            if i == 0:
+                assert context.prev_sparse.size == 0
+                continue
+            header, dense, groups, *_ = unpack_container(payload)
+            assert header.is_delta and len(groups) > 0
+            # Frame 1 has no previous sparse points; frame 2 has.
+            group_mode = MODE_INTRA if i == 1 else MODE_DELTA
+            assert [g[0] for g in groups] == [group_mode] * len(groups)
+            dense_mode = MODE_INTRA if i == 1 and intra_dense else MODE_DELTA
+            assert dense[0] == dense_mode
+            if i == 1 and intra_dense:
+                assert context.occ_models == _fresh_models()
 
 
 class TestBinaryContextKernels:
